@@ -30,6 +30,7 @@ import numpy as np
 
 from .core import (
     Assignment,
+    CapacityError,
     ContractError,
     Game,
     Graph,
@@ -116,6 +117,14 @@ class CliqueArithStrategy(Strategy):
         return candidates[0]
 
     def guesses_batch(self, colors: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+        # Every intermediate value below stays under 2 * modulus, so uint64
+        # arithmetic is exact up to a modulus of 2**63.
+        if self.modulus > 2 ** 63:
+            raise CapacityError(
+                f"clique modulus {self.modulus} is too large for batch evaluation: "
+                "exact up to 2**63",
+                self.modulus,
+            )
         n = _u(self.modulus)
         verts = self.game.graph.vertices
         total = None

@@ -76,6 +76,31 @@ class TestVerify:
         assert code == EX_UNKNOWN
         assert "too large" in err
 
+    def test_sampled_clique_modulus_beyond_uint64_is_unknown(self, expr, capsys):
+        # lcm 9.84e18 lies between 2**63 and 2**64; wrapping arithmetic once
+        # reported a counterexample here although the game is winning.
+        code, out, err = run(
+            capsys, "verify", expr("clique[32,3,5,7,11,13,17,19,23,29,31,37,41,43,47]"),
+            "--sample", "1000", "--jobs", "1",
+        )
+        assert code == EX_UNKNOWN
+        assert out == ""
+        assert "too large" in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
+    def test_seed_out_of_range_is_usage(self, expr, capsys, seed):
+        code, _, err = run(
+            capsys, "verify", expr("clique[2,2]"), "--sample", "10", "--seed", seed
+        )
+        assert code == EX_USAGE
+        assert "seed" in err
+
+    def test_non_integer_jobs_env_is_usage(self, expr, capsys, monkeypatch):
+        monkeypatch.setenv("HATS_JOBS", "abc")
+        code, _, err = run(capsys, "verify", expr("clique[2,2]"))
+        assert code == EX_USAGE
+        assert "HATS_JOBS" in err
+
 
 class TestSolve:
     def test_losing_edge_game(self, tmp_path, capsys):

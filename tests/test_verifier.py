@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import pytest
 
@@ -11,8 +13,9 @@ from hats.core import (
     assignment_index,
     complete_graph,
 )
-from hats.strategy import TableStrategy, clique_strategy, k5minus_strategy
+from hats.strategy import Strategy, TableStrategy, clique_strategy, k5minus_strategy
 from hats.verifier import (
+    SAMPLE_BLOCK,
     VerifyReport,
     verify_exhaustive,
     verify_sampled,
@@ -34,6 +37,22 @@ def all_zeros_strategy(game):
             patterns *= game.h(u)
         tables[v] = (0,) * patterns
     return TableStrategy(game, tables)
+
+
+class AlwaysWrong(Strategy):
+    """Guesses one above the true color, so nobody is ever right."""
+
+    def __init__(self, game):
+        self.game = game
+
+    def guesses_batch(self, colors):
+        return {v: (colors[v] + 1) % self.game.h(v) for v in self.game.graph.vertices}
+
+
+def without_seconds(report):
+    doc = report.to_json()
+    del doc["seconds"]
+    return doc
 
 
 def losing_k2_23_pair():
@@ -136,12 +155,62 @@ class TestOracleAgreement:
         assert hist == reference.histogram
 
     def test_chunk_invariance(self):
-        game, strategy = losing_k2_23_pair()
-        reports = [
-            verify_exhaustive(game, strategy, jobs=j, chunk=c)
-            for j, c in ((1, 6), (1, 1), (2, 2), (3, 5))
-        ]
-        assert len({assignment_index(game, r.counterexample) for r in reports}) == 1
+        zeros = clique([3, 3, 3, 3])  # first counterexample: all ones, index 40
+        for game, strategy in (losing_k2_23_pair(), (zeros, all_zeros_strategy(zeros))):
+            reports = [
+                without_seconds(verify_exhaustive(game, strategy, jobs=j, chunk=c))
+                for j, c in ((1, 6), (1, 1), (2, 2), (3, 5), (1, 4), (2, 7), (1, 64))
+            ]
+            assert all(r == reports[0] for r in reports)
+            found = assignment_index(game, reports[0]["counterexample"])
+            assert reports[0]["checked"] == found + 1
+        assert reports[0]["checked"] == 41
+
+    def test_shared_cursor_under_contention(self):
+        # More workers than cores and a tiny switch interval: a lost update
+        # of the cursor or the histogram would skip or repeat a block.
+        game, strategy = k5minus_strategy()
+        zeros = clique([3, 3, 3, 3])
+        results = []
+
+        def sweep():
+            results.append(win_histogram(game, strategy, jobs=8, chunk=16))
+            results.append(without_seconds(verify_exhaustive(
+                zeros, all_zeros_strategy(zeros), jobs=8, chunk=1)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread = threading.Thread(target=sweep)
+            thread.start()
+            thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        hist, report = results
+        assert hist == win_histogram(game, strategy, jobs=1)
+        assert sum(hist.values()) == 16464
+        assert report["checked"] == 41
+
+
+class TestBoundedSweep:
+    def test_full_uint64_index_range_stops_at_first_block(self):
+        # 2**64 assignments: the sweep must draw blocks lazily, not list them.
+        game = clique([2] * 64)
+        report = verify_exhaustive(game, AlwaysWrong(game), jobs=2)
+        assert report.checked == 1
+        assert report.counterexample == {v: 0 for v in game.graph.vertices}
+
+    def test_limit_clamped_to_uint64_index_range(self):
+        game = clique([2] * 65)
+        with pytest.raises(CapacityError) as err:
+            verify_exhaustive(game, AlwaysWrong(game), limit=2 ** 70, jobs=2)
+        assert err.value.size == 2 ** 65
+
+    def test_nonpositive_chunk_refused(self):
+        game = clique([2, 2])
+        with pytest.raises(ContractError):
+            verify_exhaustive(game, clique_strategy(game), chunk=0)
 
 
 class TestWinHistogram:
@@ -211,6 +280,51 @@ class TestVerifySampled:
             for s in range(6)
         }
         assert len(mins) >= 1  # sanity; the real check is determinism above
+
+    def test_failing_report_identical_across_jobs(self):
+        game = clique([3, 3, 3, 3])
+        strategy = all_zeros_strategy(game)
+        reports = [
+            without_seconds(verify_sampled(game, strategy, 3 * SAMPLE_BLOCK, seed=2, jobs=j))
+            for j in (1, 2, 3)
+        ]
+        assert all(r == reports[0] for r in reports)
+        assert reports[0]["counterexample"] is not None
+        assert reports[0]["checked"] < SAMPLE_BLOCK
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    def test_seed_range_validated(self, seed):
+        game = clique([2, 2])
+        with pytest.raises(ContractError):
+            verify_sampled(game, clique_strategy(game), 10, seed=seed)
+
+    @pytest.mark.parametrize("big", [2 ** 33, 2 ** 64])
+    def test_hatness_beyond_exact_reduction_refused(self, big):
+        game = clique([1, big])
+        with pytest.raises(CapacityError) as err:
+            verify_sampled(game, clique_strategy(game), 10, seed=0, jobs=1)
+        assert err.value.size == big
+
+    @pytest.mark.parametrize("extra", [[], [53]])
+    def test_clique_modulus_beyond_2_63_refused(self, extra):
+        # lcm 9.84e18 (between 2**63 and 2**64) once wrapped into a false
+        # counterexample; with 53 added it raised a raw OverflowError.
+        game = clique([32, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47] + extra)
+        with pytest.raises(CapacityError):
+            verify_sampled(game, clique_strategy(game), 100, seed=0, jobs=1)
+
+    def test_clique_modulus_just_below_2_63_is_exact(self):
+        from hats.verifier import _sample_block
+
+        game = clique([16, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47])
+        strategy = clique_strategy(game)
+        assert 2 ** 62 < strategy.modulus <= 2 ** 63
+        colors = _sample_block(game, seed=0, lo=0, size=40)
+        batch = strategy.guesses_batch(colors)
+        for row in range(40):
+            assignment = {v: int(colors[v][row]) for v in game.graph.vertices}
+            assert strategy.guesses(assignment) == {v: int(batch[v][row]) for v in batch}
+        assert verify_sampled(game, strategy, 2000, seed=0, jobs=1).counterexample is None
 
     def test_sample_count_validated(self):
         game = clique([2, 2])
