@@ -144,7 +144,7 @@ class Game:
         if set(self.hatness) != set(self.graph.vertices):
             raise ContractError("hatness keys must equal the graph's vertex set")
         for v, h in self.hatness.items():
-            if not isinstance(h, int) or h < 1:
+            if isinstance(h, bool) or not isinstance(h, int) or h < 1:
                 raise ContractError(f"hatness of {v!r} must be a positive integer, got {h!r}")
         object.__setattr__(self, "hatness", dict(self.hatness))
 
@@ -302,13 +302,19 @@ def game_from_json(doc: dict) -> tuple[Game, Optional[Rotation]]:
     try:
         names = [entry["name"] for entry in doc["vertices"]]
         hatness = {entry["name"]: entry["hatness"] for entry in doc["vertices"]}
-        edges = [tuple(e) for e in doc["edges"]]
-    except (KeyError, TypeError) as exc:
+        edges = [(a, b) for a, b in doc["edges"]]
+        rotation = None
+        if "rotation" in doc:
+            rotation = {}
+            for v, ns in doc["rotation"].items():
+                if not isinstance(ns, list) or not all(isinstance(u, str) for u in ns):
+                    raise ContractError(
+                        f"malformed game document: rotation of {v!r} is not a list of names"
+                    )
+                rotation[v] = tuple(ns)
+        game = Game(Graph(names, edges), hatness)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ContractError(f"malformed game document: {exc}") from exc
-    game = Game(Graph(names, edges), hatness)
-    rotation = None
-    if "rotation" in doc:
-        rotation = {v: tuple(ns) for v, ns in doc["rotation"].items()}
     return game, rotation
 
 
@@ -317,4 +323,8 @@ def dump_game(game: Game, rotation: Optional[Rotation] = None) -> str:
 
 
 def load_game(text: str) -> tuple[Game, Optional[Rotation]]:
-    return game_from_json(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ContractError(f"malformed game document: {exc}") from exc
+    return game_from_json(doc)

@@ -6,7 +6,9 @@ assignment has at least one vertex whose entry matches its own color.
 The search state keeps a color-set domain per table cell; branching
 picks the uncovered assignment with the fewest live covering options and
 tries them in vertex order, refuting each before moving to the next, so
-exhausting the root proves the game losing.
+exhausting the root proves the game losing.  The search is iterative:
+its depth is bounded by the number of assignments (each level covers
+one more), not by the interpreter's recursion limit.
 
 Two propagation rules keep tiny instances tiny: an uncovered assignment
 with a single live option forces that entry (unit propagation), and a
@@ -22,7 +24,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Generator, Optional
 
 from .core import (
     CapacityError,
@@ -32,7 +34,8 @@ from .core import (
     UNKNOWN,
     WINNING,
 )
-from .strategy import TableStrategy
+from .strategy import TableStrategy, pattern_indices
+from .verifier import _decode_chunk
 
 MAX_PATTERNS = 2 ** 16
 MAX_ASSIGNMENTS = 2 ** 24
@@ -61,17 +64,15 @@ class SolveResult:
 
 
 class _Search:
-    def __init__(self, game: Game, budget: SearchBudget, max_patterns: int):
+    def __init__(self, game: Game, budget: SearchBudget):
         self.game = game
         self.budget = budget
         verts = game.graph.vertices
-        self.nv = len(verts)
-        self.h = list(game.hat_tuple)
 
         self.pattern_counts = []
         for v in verts:
             count = math.prod(game.h(u) for u in game.graph.adjacency[v])
-            if count > max_patterns:
+            if count > MAX_PATTERNS:
                 raise CapacityError(
                     f"game too large for exact solving: {count} visible patterns at {v!r}",
                     count,
@@ -83,57 +84,35 @@ class _Search:
                 f"game too large for exact solving: {total} assignments", total
             )
 
+        # Per cell: its color-set domain and how many assignments one
+        # fixed entry can cover (the colors of vertices outside the
+        # closed neighborhood are free).
         self.cell_base = []
-        ncells = 0
-        for count in self.pattern_counts:
-            self.cell_base.append(ncells)
-            ncells += count
-        self.ncells = ncells
-        # How many assignments one fixed entry can cover: the colors of
-        # vertices outside the closed neighborhood are free.
-        self.cap = []
-        for i, v in enumerate(verts):
+        self.dom = []
+        self.cell_cap = []
+        for v, count in zip(verts, self.pattern_counts):
+            self.cell_base.append(len(self.dom))
+            self.dom += [(1 << game.h(v)) - 1] * count
             closed = set(game.graph.adjacency[v]) | {v}
-            self.cap.append(math.prod(game.h(u) for u in verts if u not in closed))
+            self.cell_cap += [math.prod(game.h(u) for u in verts if u not in closed)] * count
 
         # Per assignment: its option list [(vertex, cell, own color)];
         # per cell: the assignments referencing it.
-        self.options: list[list[tuple[int, int, int]]] = []
-        self.cell_refs: list[list[tuple[int, int]]] = [[] for _ in range(ncells)]
-        index = game.graph.index
-        for a in range(total):
-            digits = []
-            rest = a
-            for hv in self.h:
-                rest, d = divmod(rest, hv)
-                digits.append(d)
-            opts = []
-            for i, v in enumerate(verts):
-                pat = 0
-                place = 1
-                for u in game.graph.adjacency[v]:
-                    pat += digits[index[u]] * place
-                    place *= game.h(u)
-                cell = self.cell_base[i] + pat
-                opts.append((i, cell, digits[i]))
-                self.cell_refs[cell].append((a, digits[i]))
-            self.options.append(opts)
+        self.options: list[list[tuple[int, int, int]]] = [[] for _ in range(total)]
+        self.cell_refs: list[list[tuple[int, int]]] = [[] for _ in self.dom]
+        colors = _decode_chunk(game, 0, total)
+        for i, v in enumerate(verts):
+            cells = (self.cell_base[i] + pattern_indices(game, v, colors)).tolist()
+            for a, (cell, own) in enumerate(zip(cells, colors[v].tolist())):
+                self.options[a].append((i, cell, own))
+                self.cell_refs[cell].append((a, own))
 
-        self.dom = []
-        for i, patterns in enumerate(self.pattern_counts):
-            self.dom += [(1 << self.h[i]) - 1] * patterns
         self.assured = [0] * total
-        self.npos = [self.nv] * total
+        self.npos = [len(verts)] * total
         self.uncovered = total
         self.trail: list[tuple] = []
         self.units: deque[int] = deque()
         self.nodes = 0
-
-    def _cell_vertex(self, cell: int) -> int:
-        for i in range(self.nv - 1, -1, -1):
-            if cell >= self.cell_base[i]:
-                return i
-        raise AssertionError
 
     # -- state updates ----------------------------------------------------
 
@@ -142,6 +121,13 @@ class _Search:
             self.uncovered -= 1
         self.assured[a] += 1
         self.trail.append(("assured", a))
+
+    def _assure_fixed(self, cell: int) -> None:
+        """Mark covered every assignment a singleton cell now guesses."""
+        fixed = self.dom[cell].bit_length() - 1
+        for a, req in self.cell_refs[cell]:
+            if req == fixed:
+                self._assure(a)
 
     def _remove(self, cell: int, color: int) -> bool:
         """Drop a color from a cell's domain; False on conflict."""
@@ -163,10 +149,7 @@ class _Search:
                     elif self.npos[a] == 1:
                         self.units.append(a)
         if ok and self.dom[cell].bit_count() == 1:
-            fixed = self.dom[cell].bit_length() - 1
-            for a, req in self.cell_refs[cell]:
-                if req == fixed:
-                    self._assure(a)
+            self._assure_fixed(cell)
         return ok
 
     def _fix(self, cell: int, color: int) -> bool:
@@ -208,12 +191,12 @@ class _Search:
 
     def _capacity_ok(self) -> bool:
         potential = 0
-        for cell in range(self.ncells):
-            if self.dom[cell].bit_count() >= 2:
-                potential += self.cap[self._cell_vertex(cell)]
+        for dom, cap in zip(self.dom, self.cell_cap):
+            if dom & (dom - 1):
+                potential += cap
                 if potential >= self.uncovered:
                     return True
-        return potential >= self.uncovered
+        return False
 
     # -- search ------------------------------------------------------------
 
@@ -221,17 +204,27 @@ class _Search:
         self.units.extend(range(len(self.options)))
         # Hatness-1 vertices start with singleton cells; fire their
         # assurances before anything else.
-        for cell in range(self.ncells):
-            if self.dom[cell].bit_count() == 1:
-                fixed = self.dom[cell].bit_length() - 1
-                for a, req in self.cell_refs[cell]:
-                    if req == fixed:
-                        self._assure(a)
+        for cell, dom in enumerate(self.dom):
+            if dom.bit_count() == 1:
+                self._assure_fixed(cell)
         if not self._propagate():
             return "unsat"
-        return self._search()
+        # Each search level is a generator that yields to descend; the
+        # stack of suspended levels replaces the call stack.
+        stack = [self._search()]
+        result = None
+        while stack:
+            try:
+                stack[-1].send(result)
+            except StopIteration as done:
+                stack.pop()
+                result = done.value
+            else:
+                stack.append(self._search())
+                result = None
+        return result
 
-    def _search(self) -> str:
+    def _search(self) -> Generator[None, str, str]:
         if self.uncovered == 0:
             return "sat"
         if not self._capacity_ok():
@@ -252,7 +245,7 @@ class _Search:
             mark = len(self.trail)
             self.units.clear()
             if self._fix(cell, req) and self._propagate():
-                result = self._search()
+                result = yield
                 if result in ("sat", "budget"):
                     return result
             self._undo(mark)
@@ -273,15 +266,15 @@ class _Search:
         return TableStrategy(self.game, tables)
 
 
-def solve_exact(game: Game, budget: SearchBudget = SearchBudget(), *,
-                max_patterns: int = MAX_PATTERNS) -> SolveResult:
+def solve_exact(game: Game, budget: SearchBudget = SearchBudget()) -> SolveResult:
     """Decide a tiny game exactly.
 
     Winning results carry an explicit table strategy; Losing means the
     whole search space was refuted; Unknown means the node budget ran
-    out first.
+    out first.  Games with more than MAX_PATTERNS visible patterns at a
+    vertex or more than MAX_ASSIGNMENTS assignments raise CapacityError.
     """
-    search = _Search(game, budget, max_patterns)
+    search = _Search(game, budget)
     outcome = search.run()
     if outcome == "sat":
         return SolveResult(WINNING, search.extract_tables(), search.nodes)

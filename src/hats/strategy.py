@@ -413,21 +413,22 @@ class TableStrategy(Strategy):
         return self.tables[v][self.pattern_index(v, assignment)]
 
     def guesses_batch(self, colors: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-        out = {}
-        for v in self.game.graph.vertices:
-            idx = None
-            place = 1
-            for u in self.game.graph.adjacency[v]:
-                term = colors[u].astype(U) * _u(place)
-                idx = term if idx is None else idx + term
-                place *= self.game.h(u)
-            table = np.asarray(self.tables[v], dtype=U)
-            if idx is None:
-                size = len(colors[v]) if v in colors else 1
-                out[v] = np.full(size, table[0], dtype=U)
-            else:
-                out[v] = np.take(table, idx.astype(np.intp))
-        return out
+        return {
+            v: np.take(np.asarray(self.tables[v], dtype=U),
+                       pattern_indices(self.game, v, colors).astype(np.intp))
+            for v in self.game.graph.vertices
+        }
+
+
+def pattern_indices(game: Game, v: str, colors: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Batch form of ``TableStrategy.pattern_index``: v's visible-pattern
+    index for every assignment of a batch (all zero when v sees nobody)."""
+    idx = np.zeros(len(colors[v]) if v in colors else 1, dtype=U)
+    place = 1
+    for u in game.graph.adjacency[v]:
+        idx = idx + colors[u].astype(U) * _u(place)
+        place *= game.h(u)
+    return idx
 
 
 # ---------------------------------------------------------------------------

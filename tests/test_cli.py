@@ -143,6 +143,38 @@ class TestSolve:
         assert code == EX_UNKNOWN
         assert "too large" in err
 
+    def test_deep_search_budget_is_unknown(self, tmp_path, capsys):
+        names = tuple(f"v{i}" for i in range(7))
+        path = tmp_path / "k7.json"
+        path.write_text(dump_game(Game(complete_graph(names), {v: 3 for v in names})))
+        code, out, _ = run(capsys, "solve", str(path), "--budget", "1000")
+        assert code == EX_UNKNOWN
+        assert json.loads(out) == {"status": "unknown", "nodes": 1001}
+
+
+_EDGE = {"vertices": [{"name": "a", "hatness": 2}, {"name": "b", "hatness": 2}],
+         "edges": [["a", "b"]]}
+
+
+@pytest.mark.parametrize("command", ["solve", "embed-check"])
+@pytest.mark.parametrize("text", [
+    '{"vertices": [',
+    json.dumps({**_EDGE, "edges": [["a"]]}),
+    json.dumps({**_EDGE, "edges": [["a", "b", "c"]]}),
+    json.dumps({**_EDGE, "rotation": [["b"], ["a"]]}),
+    json.dumps({**_EDGE, "rotation": {"a": 1, "b": ["a"]}}),
+    json.dumps({**_EDGE, "rotation": {"a": [["b"]], "b": ["a"]}}),
+    json.dumps({**_EDGE, "vertices": [{"name": "a", "hatness": True},
+                                      {"name": "b", "hatness": 2}]}),
+], ids=["json", "short-edge", "long-edge", "rotation-list", "rotation-entry",
+        "rotation-name", "bool-hatness"])
+def test_malformed_game_document_is_usage(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, _, err = run(capsys, command, str(path))
+    assert code == EX_USAGE
+    assert "error:" in err
+
 
 class TestEmbedCheck:
     def test_planar_certificate(self, expr, tmp_path, capsys):

@@ -66,6 +66,11 @@ class TestGameValidation:
         with pytest.raises(ContractError):
             Game(complete_graph(("a",)), {"a": 0})
 
+    def test_hatness_must_not_be_bool(self):
+        # bool is a subclass of int; True must not pass as hatness 1.
+        with pytest.raises(ContractError):
+            Game(complete_graph(("a", "b")), {"a": True, "b": 2})
+
 
 class TestAssignmentAt:
     def test_zero_index(self):

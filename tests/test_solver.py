@@ -19,6 +19,7 @@ from hats.solver import (
     check_against_clique_theorem,
     solve_exact,
 )
+from hats.verifier import verify_exhaustive
 from conftest import brute_force_decide, naive_verify
 
 
@@ -71,8 +72,25 @@ class TestSolveExact:
         assert result.nodes > 2
 
     def test_pattern_capacity(self):
-        with pytest.raises(CapacityError, match="too large"):
-            solve_exact(clique([300, 300]), max_patterns=100)
+        # v2 sees 257 * 257 = 66,049 patterns, above MAX_PATTERNS = 2**16,
+        # while the 132,098 assignments stay below MAX_ASSIGNMENTS.
+        with pytest.raises(CapacityError, match="visible patterns"):
+            solve_exact(clique([257, 257, 2]))
+
+    def test_deep_search_budget_is_unknown(self):
+        # K7 at 3 colors searches deeper than a recursive search could go
+        # under the interpreter's default recursion limit.
+        result = solve_exact(clique([3] * 7), SearchBudget(1000))
+        assert result.status == UNKNOWN
+        assert result.nodes == 1001
+
+    def test_deep_search_wins(self):
+        game = clique([3] * 7)
+        result = solve_exact(game, SearchBudget(3000))
+        assert result.status == WINNING
+        assert result.nodes == 2187
+        report = verify_exhaustive(game, result.strategy, jobs=1)
+        assert report.counterexample is None
 
     def test_result_json(self):
         result = solve_exact(clique([2, 2]))
