@@ -173,8 +173,7 @@ def _check_gluing_vertices(g1: Game, g2: Game, a1: str, a2: str) -> None:
 
 
 def _glued_parts(g1: Game, g2: Game, a1: str, a2: str, axis_hatness: int):
-    """Vertex maps, glued graph and hatness for a one-vertex gluing."""
-    _check_gluing_vertices(g1, g2, a1, a2)
+    """Vertex maps, glued graph and hatness for a checked one-vertex gluing."""
     left_map: dict[str, str] = {}
     order: list[str] = []
     hatness: dict[str, int] = {}

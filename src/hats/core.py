@@ -302,7 +302,10 @@ def game_from_json(doc: dict) -> tuple[Game, Optional[Rotation]]:
     try:
         names = [entry["name"] for entry in doc["vertices"]]
         hatness = {entry["name"]: entry["hatness"] for entry in doc["vertices"]}
-        edges = [(a, b) for a, b in doc["edges"]]
+        edges = doc["edges"]
+        if not all(isinstance(v, str) for v in names) or not all(
+                isinstance(e, list) and len(e) == 2 for e in edges):
+            raise ContractError("malformed game document: names must be strings, edges pairs")
         rotation = None
         if "rotation" in doc:
             rotation = {}

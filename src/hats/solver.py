@@ -101,9 +101,9 @@ class _Search:
         self.options: list[list[tuple[int, int, int]]] = [[] for _ in range(total)]
         self.cell_refs: list[list[tuple[int, int]]] = [[] for _ in self.dom]
         colors = _decode_chunk(game, 0, total)
-        for i, v in enumerate(verts):
-            cells = (self.cell_base[i] + pattern_indices(game, v, colors)).tolist()
-            for a, (cell, own) in enumerate(zip(cells, colors[v].tolist())):
+        for i in range(len(verts)):
+            cells = (self.cell_base[i] + pattern_indices(game, i, colors)).tolist()
+            for a, (cell, own) in enumerate(zip(cells, colors[i].tolist())):
                 self.options[a].append((i, cell, own))
                 self.cell_refs[cell].append((a, own))
 

@@ -8,8 +8,8 @@ Every strategy exposes two evaluation paths:
   candidate colors and asserting that the hypothesis set admits exactly
   one.  This is the reference path.
 * ``guesses_batch(colors)`` - closed-form numpy arithmetic over a batch
-  of assignments (one array per vertex).  This is the path the sweep
-  verifier drives.
+  of assignments (one row per vertex, in vertex order).  This is the
+  path the sweep verifier drives.
 
 The two paths are implemented independently and the test suite checks
 them against each other exhaustively on small games.  Both are pure
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from importlib import resources
 from typing import Mapping, Sequence
 
@@ -33,7 +33,6 @@ from .core import (
     CapacityError,
     ContractError,
     Game,
-    Graph,
     StructureError,
     almost_complete_graph,
     majorizes,
@@ -65,7 +64,10 @@ class Strategy:
     def guesses(self, assignment: Assignment) -> dict[str, int]:
         return {v: self.guess(v, assignment) for v in self.game.graph.vertices}
 
-    def guesses_batch(self, colors: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Guesses for a batch: ``colors[i]`` holds the colors of vertex i
+        (its position in ``game.graph.vertices``), one column per
+        assignment.  Returns the V rows of uint64 guesses in that order."""
         raise NotImplementedError
 
 
@@ -116,7 +118,7 @@ class CliqueArithStrategy(Strategy):
             raise ContractError(f"interval at {v!r} matched {len(candidates)} colors, expected 1")
         return candidates[0]
 
-    def guesses_batch(self, colors: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
         # Every intermediate value below stays under 2 * modulus, so uint64
         # arithmetic is exact up to a modulus of 2**63.
         if self.modulus > 2 ** 63:
@@ -126,18 +128,13 @@ class CliqueArithStrategy(Strategy):
                 self.modulus,
             )
         n = _u(self.modulus)
-        verts = self.game.graph.vertices
-        total = None
-        terms = {}
-        for v, c in zip(verts, self.coefficients):
-            term = (colors[v].astype(U) * _u(c)) % n
-            terms[v] = term
-            total = term if total is None else (total + term) % n
-        out = {}
-        for v, c, s, a in zip(verts, self.coefficients, self.starts, self.game.hat_tuple):
-            partial = (total + n - terms[v]) % n
+        terms = [(row.astype(U) * _u(c)) % n for row, c in zip(colors, self.coefficients)]
+        total = reduce(lambda acc, term: (acc + term) % n, terms)
+        out = []
+        for term, c, s, a in zip(terms, self.coefficients, self.starts, self.game.hat_tuple):
+            partial = (total + n - term) % n
             d = (_u(s) + n - partial) % n
-            out[v] = ((d + _u(c - 1)) // _u(c)) % _u(a)
+            out.append(((d + _u(c - 1)) // _u(c)) % _u(a))
         return out
 
 
@@ -329,6 +326,8 @@ class K5MinusTrapStrategy(Strategy):
 
     @cached_property
     def _lookup(self):
+        if self.game.graph.vertices != K5_VERTICES:
+            raise ContractError(f"the trap's batch path reads rows in the order {K5_VERTICES}")
         a2_start = np.array([row.a2[0] for row in self.table.rows], dtype=U)
         a3_start = np.array([row.a3[0] for row in self.table.rows], dtype=U)
         by_res = np.zeros((14, 3), dtype=U)
@@ -337,23 +336,17 @@ class K5MinusTrapStrategy(Strategy):
                 by_res[row.d, x % 3] = x
         return a2_start, a3_start, by_res
 
-    def guesses_batch(self, colors: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
         m = _u(TRAP_MODULUS)
-        a2 = colors["A2"].astype(U)
-        a3 = colors["A3"].astype(U)
-        a14 = colors["A14"].astype(U)
-        b14 = colors["B14"].astype(U)
-        c14 = colors["C14"].astype(U)
+        a2, a3, a14, b14, c14 = (row.astype(U) for row in colors)
         t2, t3, t14 = (a2 * _u(21)) % m, (a3 * _u(14)) % m, (a14 * _u(3)) % m
         s = (t2 + t3 + t14) % m
 
         # The unique trap element sharing S's residue class modulo 3.
         target_b = s % _u(3)
         target_c = (s % _u(3)) * _u(4)
-        out: dict[str, np.ndarray] = {
-            "B14": ((target_b + m - s) % m) // _u(3),
-            "C14": ((target_c + m - s) % m) // _u(3),
-        }
+        guess_b = ((target_b + m - s) % m) // _u(3)
+        guess_c = ((target_c + m - s) % m) // _u(3)
 
         a2_start, a3_start, by_res = self._lookup
         d = ((c14 + _u(14) - b14) % _u(14)).astype(np.intp)
@@ -361,18 +354,18 @@ class K5MinusTrapStrategy(Strategy):
 
         rest2 = (t3 + t14) % m
         left2 = (np.take(a2_start, d) + m - shift) % m
-        out["A2"] = ((rest2 + m - left2) % m) // _u(21)
+        guess2 = ((rest2 + m - left2) % m) // _u(21)
 
         rest3 = (t2 + t14) % m
         left3 = (np.take(a3_start, d) + m - shift) % m
         off3 = (rest3 + m - left3) % m
-        out["A3"] = (_u(3) - off3 // _u(14)) % _u(3)
+        guess3 = (_u(3) - off3 // _u(14)) % _u(3)
 
         rest14 = (t2 + t3) % m
         res = (rest14 % _u(3)).astype(np.intp)
         t = (by_res[d, res] + m - shift) % m
-        out["A14"] = ((t + m - rest14) % m) // _u(3)
-        return out
+        guess14 = ((t + m - rest14) % m) // _u(3)
+        return [guess2, guess3, guess14, guess_b, guess_c]
 
 
 def k5minus_game() -> Game:
@@ -412,21 +405,21 @@ class TableStrategy(Strategy):
     def guess(self, v: str, assignment: Assignment) -> int:
         return self.tables[v][self.pattern_index(v, assignment)]
 
-    def guesses_batch(self, colors: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-        return {
-            v: np.take(np.asarray(self.tables[v], dtype=U),
-                       pattern_indices(self.game, v, colors).astype(np.intp))
-            for v in self.game.graph.vertices
-        }
+    def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
+        return [
+            np.take(np.asarray(self.tables[v], dtype=U),
+                    pattern_indices(self.game, i, colors).astype(np.intp))
+            for i, v in enumerate(self.game.graph.vertices)
+        ]
 
 
-def pattern_indices(game: Game, v: str, colors: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Batch form of ``TableStrategy.pattern_index``: v's visible-pattern
-    index for every assignment of a batch (all zero when v sees nobody)."""
-    idx = np.zeros(len(colors[v]) if v in colors else 1, dtype=U)
+def pattern_indices(game: Game, i: int, colors: Sequence[np.ndarray]) -> np.ndarray:
+    """Batch form of ``TableStrategy.pattern_index``: the visible-pattern
+    index of row i for every assignment of a batch (0 when it sees nobody)."""
+    idx = np.zeros(len(colors[i]), dtype=U)
     place = 1
-    for u in game.graph.adjacency[v]:
-        idx = idx + colors[u].astype(U) * _u(place)
+    for u in game.graph.adjacency[game.graph.vertices[i]]:
+        idx = idx + colors[game.graph.index[u]].astype(U) * _u(place)
         place *= game.h(u)
     return idx
 
@@ -447,17 +440,19 @@ class AdaptedStrategy(Strategy):
     inner: Strategy
     kind = "majorize-adapter"
 
+    def __post_init__(self):
+        if self.game.graph.vertices != self.inner.game.graph.vertices:
+            raise ContractError("an adapted strategy keeps its inner game's vertex order")
+
     def guess(self, v: str, assignment: Assignment) -> int:
         g = self.inner.guess(v, assignment)
         return g if g < self.game.h(v) else 0
 
-    def guesses_batch(self, colors: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-        inner = self.inner.guesses_batch(colors)
-        out = {}
-        for v in self.game.graph.vertices:
-            g = inner[v]
-            out[v] = np.where(g < _u(self.game.h(v)), g, _u(0))
-        return out
+    def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
+        return [
+            np.where(g < _u(h), g, _u(0))
+            for g, h in zip(self.inner.guesses_batch(colors), self.game.hat_tuple)
+        ]
 
 
 def adapt_majorized(strategy: Strategy, lower: Mapping[str, int]) -> AdaptedStrategy:
@@ -469,6 +464,13 @@ def adapt_majorized(strategy: Strategy, lower: Mapping[str, int]) -> AdaptedStra
 
 # ---------------------------------------------------------------------------
 # Composite strategies (built by the constructors module)
+
+
+def _part_rows(game: Game, names: Mapping[str, str], part: Game, *at: str):
+    """The rows in ``game`` of ``part``'s vertices, in ``part``'s order, via
+    ``names`` (game name -> part name), then the positions of ``at``."""
+    rows = {orig: game.graph.index[comp] for comp, orig in names.items()}
+    return (tuple(rows[v] for v in part.graph.vertices), *(part.graph.index[v] for v in at))
 
 
 @dataclass(frozen=True)
@@ -514,23 +516,27 @@ class ProductStrategy(Strategy):
             return self.left.guess(self.left_names[v], la)
         return self.right.guess(self.right_names[v], ra)
 
-    def guesses_batch(self, colors: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-        h1 = _u(self.left_axis_hatness)
-        axis_colors = colors[self.axis].astype(U)
-        lc = {orig: colors[comp] for comp, orig in self.left_names.items()}
-        rc = {orig: colors[comp] for comp, orig in self.right_names.items()}
-        lc[self.left_names[self.axis]] = axis_colors % h1
-        rc[self.right_names[self.axis]] = axis_colors // h1
+    @cached_property
+    def _rows(self):
+        return tuple(
+            _part_rows(self.game, names, part.game, names[self.axis])
+            for names, part in ((self.left_names, self.left), (self.right_names, self.right))
+        )
+
+    def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
+        (left_rows, la), (right_rows, ra) = self._rows
+        h1 = _u(self.left.game.hat_tuple[la])
+        axis = left_rows[la]
+        lc = [colors[r] for r in left_rows]
+        rc = [colors[r] for r in right_rows]
+        rc[ra], lc[la] = divmod(colors[axis].astype(U), h1)
         lg = self.left.guesses_batch(lc)
         rg = self.right.guesses_batch(rc)
-        out: dict[str, np.ndarray] = {}
-        for comp in self.game.graph.vertices:
-            if comp == self.axis:
-                out[comp] = lg[self.left_names[comp]] + h1 * rg[self.right_names[comp]]
-            elif comp in self.left_names:
-                out[comp] = lg[self.left_names[comp]]
-            else:
-                out[comp] = rg[self.right_names[comp]]
+        out = [None] * len(colors)
+        for rows, guesses in ((left_rows, lg), (right_rows, rg)):
+            for r, g in zip(rows, guesses):
+                out[r] = g
+        out[axis] = lg[la] + h1 * rg[ra]
         return out
 
 
@@ -612,41 +618,33 @@ class ConeStrategy(Strategy):
         pa = self._petal_assign(i, assignment, u_parts[i])
         return self.petals[i].guess(self.petal_names[i][v], pa)
 
-    def guesses_batch(self, colors: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-        k = len(self.petals)
-        base_colors = {}
-        u_parts = []
-        for i in range(k):
-            c = colors[self.attach[i]].astype(U)
-            h = _u(self._attach_hatness(i))
-            u_parts.append(c % h)
-            base_colors[self._base_vertex(i)] = c // h
+    @cached_property
+    def _rows(self):
+        return tuple(
+            (*_part_rows(self.game, names, p.game, a, o), _u(p.game.h(a)))
+            for p, names, a, o in zip(self.petals, self.petal_names, self.petal_a, self.petal_o)
+        )
+
+    def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
+        # Split each attachment into (base, petal) parts; base vertex i is petal i's attachment.
+        splits = [divmod(colors[rows[a]].astype(U), h) for rows, a, _, h in self._rows]
+        base_colors = [high for high, _ in splits]
         base_guesses = self.base.guesses_batch(base_colors)
 
-        petal_guesses = []
-        for i in range(k):
-            pc = {orig: colors[comp] for comp, orig in self.petal_names[i].items()}
-            pc[self.petal_a[i]] = u_parts[i]
-            petal_guesses.append(self.petals[i].guesses_batch(pc))
-
-        out: dict[str, np.ndarray] = {}
+        out = [None] * len(colors)
+        apex_guesses = []
+        for petal, (rows, a, o, h), (_, low), ghat in zip(
+                self.petals, self._rows, splits, base_guesses):
+            pc = [colors[r] for r in rows]
+            pc[a] = low
+            guesses = petal.guesses_batch(pc)
+            for r, g in zip(rows, guesses):
+                out[r] = g
+            out[rows[a]] = guesses[a] + h * ghat
+            apex_guesses.append(guesses[o])
         # First petal whose base guess matched; argmax picks index 0 when
-        # none did, which is the documented fallback.
-        hits = np.stack([
-            base_guesses[self._base_vertex(i)] == base_colors[self._base_vertex(i)]
-            for i in range(k)
-        ])
+        # none did, which is the documented fallback.  rows[o] is the apex.
+        hits = np.stack([g == c for g, c in zip(base_guesses, base_colors)])
         chosen = np.argmax(hits, axis=0)
-        apex_guesses = np.stack([petal_guesses[i][self.petal_o[i]] for i in range(k)])
-        out[self.apex] = np.take_along_axis(apex_guesses, chosen[None, :], axis=0)[0]
-
-        for i in range(k):
-            for comp, orig in self.petal_names[i].items():
-                if comp == self.apex:
-                    continue
-                if comp == self.attach[i]:
-                    ghat = base_guesses[self._base_vertex(i)]
-                    out[comp] = petal_guesses[i][orig] + _u(self._attach_hatness(i)) * ghat
-                else:
-                    out[comp] = petal_guesses[i][orig]
+        out[rows[o]] = np.take_along_axis(np.stack(apex_guesses), chosen[None, :], axis=0)[0]
         return out

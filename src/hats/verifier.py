@@ -2,14 +2,14 @@
 
 One sweep loop serves all three entry points.  Worker threads pull the
 starts of blocks of consecutive indices from one shared cursor, get the
-block's colors from a source and push them through the strategies'
-vectorized path; memory stays at one block per worker.  Exhaustive
-sources decode assignment indices (mixed radix, first vertex least
-significant) as uint64, so ``limit`` is clamped to 2**64.  Once a
-counterexample is known no block is drawn: every undrawn block starts
-above it.  The report therefore names the lowest-index counterexample,
-sets ``checked`` to its index + 1, and is identical across chunk sizes
-and job counts.
+block's colors from a source as one (V, n) uint64 matrix (row i for
+vertex i) and push them through the strategies' vectorized path; memory
+stays at one block per worker.  Exhaustive sources decode assignment
+indices (mixed radix, first vertex least significant) as uint64, so
+``limit`` is clamped to 2**64.  Once a counterexample is known no block
+is drawn: every undrawn block starts above it.  The report therefore
+names the lowest-index counterexample, sets ``checked`` to its index + 1,
+and is identical across chunk sizes and job counts.
 
 Sampled verification draws colors with the Philox counter-based
 generator so reports are reproducible: sample s of vertex i consumes the
@@ -29,7 +29,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,8 +37,10 @@ from .core import Assignment, CapacityError, ContractError, Game
 from .strategy import Strategy
 
 DEFAULT_LIMIT = 2 ** 64
+MAX_JOBS = 256
 CHUNK = 1 << 16
 SAMPLE_BLOCK = 1 << 14
+PHILOX_DRAW = 1 << 11  # samples drawn at once: keeps the raw words small next to the colors
 
 
 @dataclass
@@ -65,14 +67,15 @@ class VerifyReport:
 def resolve_jobs(jobs: Optional[int]) -> int:
     if jobs is None:
         env = os.environ.get("HATS_JOBS")
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ContractError(f"HATS_JOBS must be an integer, got {env!r}") from None
-        else:
-            jobs = os.cpu_count() or 1
-    return max(1, int(jobs))
+        if not env:
+            return min(os.cpu_count() or 1, MAX_JOBS)
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise ContractError(f"HATS_JOBS must be an integer, got {env!r}") from None
+    if not 1 <= jobs <= MAX_JOBS:
+        raise ContractError(f"jobs must be in [1, {MAX_JOBS}], got {jobs}")
+    return int(jobs)
 
 
 def _index_space(game: Game, limit: int, what: str) -> int:
@@ -86,43 +89,39 @@ def _index_space(game: Game, limit: int, what: str) -> int:
     return total
 
 
-def _decode_chunk(game: Game, lo: int, size: int) -> dict[str, np.ndarray]:
+def _decode_chunk(game: Game, lo: int, size: int) -> np.ndarray:
     idx = np.arange(lo, lo + size, dtype=np.uint64)
-    colors = {}
+    colors = np.empty((len(game.hat_tuple), size), dtype=np.uint64)
     place = 1
-    for v, h in zip(game.graph.vertices, game.hat_tuple):
-        colors[v] = (idx // np.uint64(place)) % np.uint64(h)
+    for row, h in zip(colors, game.hat_tuple):
+        np.remainder(idx // np.uint64(place), np.uint64(h), out=row)
         place *= h
     return colors
 
 
-def _sample_block(game: Game, seed: int, lo: int, size: int) -> dict[str, np.ndarray]:
+def _sample_block(game: Game, seed: int, lo: int, size: int) -> np.ndarray:
     """Colors for samples [lo, lo+size) of the seeded Philox stream.
 
     Block starts must keep the word offset divisible by four (Philox
     advances in four-word counter steps); SAMPLE_BLOCK guarantees that.
     """
     nverts = len(game.graph.vertices)
-    word_offset = 2 * nverts * lo
-    bits = np.random.Philox(key=seed)
-    if word_offset:
-        bits.advance(word_offset // 4)
-    raw = bits.random_raw(2 * nverts * size).reshape(size, nverts, 2)
-    colors = {}
-    for i, (v, h) in enumerate(zip(game.graph.vertices, game.hat_tuple)):
-        hu = np.uint64(h)
-        carry = np.uint64((2 ** 64) % h)
-        colors[v] = ((raw[:, i, 0] % hu) * carry + raw[:, i, 1] % hu) % hu
+    bits = np.random.Philox(key=seed, counter=2 * nverts * lo // 4)
+    colors = np.empty((nverts, size), dtype=np.uint64)
+    for start in range(0, size, PHILOX_DRAW):
+        part = colors[:, start:start + PHILOX_DRAW]
+        raw = bits.random_raw(2 * part.size).reshape(-1, nverts, 2)
+        for i, (row, h) in enumerate(zip(part, game.hat_tuple)):
+            hu = np.uint64(h)
+            carry = np.uint64((2 ** 64) % h)
+            np.remainder((raw[:, i, 0] % hu) * carry + raw[:, i, 1] % hu, hu, out=row)
     return colors
 
 
-def _correct_counts(game: Game, strategy: Strategy,
-                    colors: Mapping[str, np.ndarray]) -> np.ndarray:
-    guesses = strategy.guesses_batch(colors)
-    counts = None
-    for v in game.graph.vertices:
-        eq = guesses[v] == colors[v]
-        counts = eq.astype(np.int32) if counts is None else counts + eq
+def _correct_counts(strategy: Strategy, colors: np.ndarray) -> np.ndarray:
+    counts = np.zeros(colors.shape[1], dtype=np.int32)
+    for guess, color in zip(strategy.guesses_batch(colors), colors):
+        counts += guess == color
     return counts
 
 
@@ -131,7 +130,7 @@ def _sweep(game: Game, strategy: Strategy, source: Callable, total: int, size: i
     """Histogram of correct counts over the blocks of [0, total) swept,
     and (index, assignment) of the lowest index nobody guesses, or None.
 
-    ``source(lo, n)`` gives the colors at indices lo .. lo + n - 1.
+    ``source(lo, n)`` gives the (V, n) colors at indices lo .. lo + n - 1.
     """
     if strategy.game != game:
         raise ContractError("strategy was built for a different game")
@@ -147,12 +146,12 @@ def _sweep(game: Game, strategy: Strategy, source: Callable, total: int, size: i
         # A call of its own frees the block's arrays before the next draw.
         nonlocal zero
         colors = source(lo, min(size, total - lo))
-        counts = _correct_counts(game, strategy, colors)
+        counts = _correct_counts(strategy, colors)
         local = np.bincount(counts, minlength=len(hist))
         found = None
         if local[0]:
             row = int(np.argmin(counts))
-            found = (lo + row, {v: int(colors[v][row]) for v in verts})
+            found = (lo + row, {v: int(c) for v, c in zip(verts, colors[:, row])})
         with lock:
             hist[:] += local
             if found and (zero is None or found[0] < zero[0]):

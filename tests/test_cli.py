@@ -101,6 +101,21 @@ class TestVerify:
         assert code == EX_USAGE
         assert "HATS_JOBS" in err
 
+    # The refusal comes before any worker pool exists; 100000 must never
+    # reach one, and the one-block game caps the pool at one thread anyway.
+    @pytest.mark.parametrize("jobs", ["0", "-3", "257", "100000"])
+    def test_jobs_out_of_range_is_usage(self, expr, capsys, jobs):
+        code, out, err = run(capsys, "verify", expr("clique[2,2]"), "--jobs", jobs)
+        assert code == EX_USAGE
+        assert out == ""
+        assert "jobs" in err
+
+    def test_zero_jobs_env_is_usage(self, expr, capsys, monkeypatch):
+        monkeypatch.setenv("HATS_JOBS", "0")
+        code, _, err = run(capsys, "verify", expr("clique[2,2]"))
+        assert code == EX_USAGE
+        assert "jobs" in err
+
 
 class TestSolve:
     def test_losing_edge_game(self, tmp_path, capsys):
@@ -166,8 +181,11 @@ _EDGE = {"vertices": [{"name": "a", "hatness": 2}, {"name": "b", "hatness": 2}],
     json.dumps({**_EDGE, "rotation": {"a": [["b"]], "b": ["a"]}}),
     json.dumps({**_EDGE, "vertices": [{"name": "a", "hatness": True},
                                       {"name": "b", "hatness": 2}]}),
+    json.dumps({**_EDGE, "edges": ["ab"]}),
+    json.dumps({"vertices": [{"name": 1, "hatness": 2}, {"name": "b", "hatness": 2}],
+                "edges": []}),
 ], ids=["json", "short-edge", "long-edge", "rotation-list", "rotation-entry",
-        "rotation-name", "bool-hatness"])
+        "rotation-name", "bool-hatness", "string-edge", "int-name"])
 def test_malformed_game_document_is_usage(tmp_path, capsys, command, text):
     path = tmp_path / "bad.json"
     path.write_text(text)

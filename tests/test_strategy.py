@@ -6,11 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hats.core import ContractError, Game, Graph, StructureError, complete_graph
+from hats.core import (
+    ContractError,
+    Game,
+    Graph,
+    StructureError,
+    almost_complete_graph,
+    complete_graph,
+)
 from hats.strategy import (
     AdaptedStrategy,
     CliqueArithStrategy,
     Guess,
+    K5_HATNESS,
+    K5MinusTrapStrategy,
     TableStrategy,
     TrapRow,
     TrapTable,
@@ -21,6 +30,7 @@ from hats.strategy import (
     k5minus_game,
     k5minus_strategy,
     load_trap_table,
+    shipped_trap_table,
     validate_trap_table,
 )
 from conftest import naive_verify
@@ -32,10 +42,10 @@ def clique(hats):
 
 
 def batch_of(game, assignments):
-    return {
-        v: np.array([a[v] for a in assignments], dtype=np.uint64)
+    return [
+        np.array([a[v] for a in assignments], dtype=np.uint64)
         for v in game.graph.vertices
-    }
+    ]
 
 
 def all_assignments(game):
@@ -53,7 +63,7 @@ def assert_paths_agree(strategy):
     for row, assignment in enumerate(assignments):
         scalar = strategy.guesses(assignment)
         for v in game.graph.vertices:
-            assert scalar[v] == int(batch[v][row]), (assignment, v)
+            assert scalar[v] == int(batch[game.graph.index[v]][row]), (assignment, v)
 
 
 class TestCliqueStrategy:
@@ -211,6 +221,18 @@ class TestK5MinusStrategy:
         game, strategy = k5minus_strategy()
         assert_paths_agree(strategy)
 
+    def test_other_vertex_order_refused_in_batch(self):
+        # The batch path reads rows in K5_VERTICES order; on this valid
+        # reordering it would report a counterexample the scalar path wins.
+        from hats.verifier import verify_exhaustive
+
+        game = Game(almost_complete_graph(("A3", "A2", "A14", "B14", "C14")), dict(K5_HATNESS))
+        strategy = K5MinusTrapStrategy(game, shipped_trap_table())
+        assignment = {"A3": 2, "A2": 1, "A14": 0, "B14": 0, "C14": 0}
+        assert any(g == assignment[v] for v, g in strategy.guesses(assignment).items())
+        with pytest.raises(ContractError, match="order"):
+            verify_exhaustive(game, strategy, jobs=1)
+
 
 class TestCompositeScalarBatchAgreement:
     """Composite strategies run two independently written evaluation
@@ -246,7 +268,7 @@ class TestCompositeScalarBatchAgreement:
         for row in (0, 17, 39):
             scalar = strategy.guesses(assignments[row])
             for v in game.graph.vertices:
-                assert scalar[v] == int(batch[v][row]), (row, v)
+                assert scalar[v] == int(batch[game.graph.index[v]][row]), (row, v)
 
 
 class TestAdaptMajorized:
@@ -269,6 +291,14 @@ class TestAdaptMajorized:
         sample = {v: 0 for v in adapted.game.graph.vertices}
         for v, g in adapted.guesses(sample).items():
             assert 0 <= g < 6
+
+    def test_other_vertex_order_refused(self):
+        # The adapter hands its rows to the inner strategy unchanged.
+        strategy = clique_strategy(clique([2, 3, 6]))
+        graph = strategy.game.graph
+        flipped = Game(Graph(graph.vertices[::-1], graph.edges), dict(strategy.game.hatness))
+        with pytest.raises(ContractError, match="order"):
+            AdaptedStrategy(flipped, strategy)
 
     def test_windmill_factor_unchanged(self):
         game = clique([2, 4, 4])
@@ -338,8 +368,8 @@ class TestTableStrategy:
         game = Game(Graph(("a",), []), {"a": 2})
         strategy = TableStrategy(game, {"a": (1,)})
         assert strategy.guess("a", {"a": 0}) == 1
-        batch = strategy.guesses_batch({"a": np.array([0, 1], dtype=np.uint64)})
-        assert list(batch["a"]) == [1, 1]
+        batch = strategy.guesses_batch([np.array([0, 1], dtype=np.uint64)])
+        assert list(batch[game.graph.index["a"]]) == [1, 1]
 
 
 class TestEvaluate:

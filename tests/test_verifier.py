@@ -15,6 +15,7 @@ from hats.core import (
 )
 from hats.strategy import Strategy, TableStrategy, clique_strategy, k5minus_strategy
 from hats.verifier import (
+    MAX_JOBS,
     SAMPLE_BLOCK,
     VerifyReport,
     verify_exhaustive,
@@ -46,7 +47,7 @@ class AlwaysWrong(Strategy):
         self.game = game
 
     def guesses_batch(self, colors):
-        return {v: (colors[v] + 1) % self.game.h(v) for v in self.game.graph.vertices}
+        return [(row + 1) % h for row, h in zip(colors, self.game.hat_tuple)]
 
 
 def without_seconds(report):
@@ -255,6 +256,24 @@ class TestJobsResolution:
         monkeypatch.delenv("HATS_JOBS")
         assert resolve_jobs(None) >= 1
 
+    @pytest.mark.parametrize("jobs", [0, -1, MAX_JOBS + 1, 100_000])
+    def test_out_of_range_refused(self, monkeypatch, jobs):
+        from hats.verifier import resolve_jobs
+
+        with pytest.raises(ContractError, match="jobs"):
+            resolve_jobs(jobs)
+        monkeypatch.setenv("HATS_JOBS", str(jobs))
+        with pytest.raises(ContractError, match="jobs"):
+            resolve_jobs(None)
+
+    def test_bounds_accepted(self, monkeypatch):
+        from hats.verifier import resolve_jobs
+
+        monkeypatch.delenv("HATS_JOBS", raising=False)
+        assert resolve_jobs(1) == 1
+        assert resolve_jobs(MAX_JOBS) == MAX_JOBS
+        assert 1 <= resolve_jobs(None) <= MAX_JOBS
+
 
 class TestVerifySampled:
     def test_broken_strategy_found_fast(self):
@@ -322,8 +341,11 @@ class TestVerifySampled:
         colors = _sample_block(game, seed=0, lo=0, size=40)
         batch = strategy.guesses_batch(colors)
         for row in range(40):
-            assignment = {v: int(colors[v][row]) for v in game.graph.vertices}
-            assert strategy.guesses(assignment) == {v: int(batch[v][row]) for v in batch}
+            index = game.graph.index
+            assignment = {v: int(colors[index[v]][row]) for v in game.graph.vertices}
+            assert strategy.guesses(assignment) == {
+                v: int(batch[index[v]][row]) for v in game.graph.vertices
+            }
         assert verify_sampled(game, strategy, 2000, seed=0, jobs=1).counterexample is None
 
     def test_sample_count_validated(self):
@@ -352,8 +374,26 @@ class TestVerifySampled:
             _sample_block(game, seed=77, lo=2 * SAMPLE_BLOCK, size=100),
         ]
         for v in game.graph.vertices:
-            joined = np.concatenate([p[v] for p in parts])
-            assert (joined == full[v]).all()
+            i = game.graph.index[v]
+            joined = np.concatenate([p[i] for p in parts])
+            assert (joined == full[i]).all()
+
+    def test_sampled_colors_match_documented_formula(self):
+        # README: sample s of vertex i takes words w0, w1 at stream
+        # positions 2(sV+i) and 2(sV+i)+1; its color is ((w0 << 64) | w1) % h.
+        import numpy as np
+
+        from hats.verifier import PHILOX_DRAW, _sample_block
+
+        hats = [2, 3, 14, 2 ** 32 - 5, 2 ** 32]
+        game = clique(hats)
+        nverts, seed, lo, size = len(hats), 2 ** 100 + 7, 6, PHILOX_DRAW + 3
+        colors = _sample_block(game, seed=seed, lo=lo, size=size)
+        words = np.random.Philox(key=seed).random_raw(2 * nverts * (lo + size)).tolist()
+        for s in range(lo, lo + size):
+            for i, h in enumerate(hats):
+                w0, w1 = words[2 * (s * nverts + i)], words[2 * (s * nverts + i) + 1]
+                assert int(colors[i][s - lo]) == ((w0 << 64) | w1) % h, (s, h)
 
     def test_sampling_is_roughly_uniform(self):
         import numpy as np
@@ -363,7 +403,7 @@ class TestVerifySampled:
         game = clique([2, 3, 14])
         colors = _sample_block(game, seed=4, lo=0, size=30000)
         for v in game.graph.vertices:
-            counts = np.bincount(colors[v].astype(int), minlength=game.h(v))
+            counts = np.bincount(colors[game.graph.index[v]].astype(int), minlength=game.h(v))
             expected = 30000 / game.h(v)
             assert counts.min() > expected * 0.8
             assert counts.max() < expected * 1.2
