@@ -76,7 +76,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--sample", type=int, help="sample this many assignments instead of sweeping")
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     p.add_argument("--jobs", type=int, help="worker threads (default: all cores, HATS_JOBS overrides)")
-    p.add_argument("--limit", type=int, default=2 ** 64, help="exhaustive capacity limit (at most 2**64)")
+    p.add_argument("--limit", type=int, default=2 ** 64, help="exhaustive capacity limit, at least 1 (clamped to 2**64)")
 
     p = sub.add_parser("solve", help="decide a tiny game exactly")
     p.add_argument("game_file")
@@ -191,7 +191,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # A missing, unreadable or non-UTF-8 file, or a directory.
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
     except (dsl.ParseError, dsl.ElaborationError) as exc:

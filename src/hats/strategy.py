@@ -85,6 +85,19 @@ def _in_interval(t: int, start: int, length: int, modulus: int) -> bool:
     return (t - start) % modulus < length
 
 
+# Most entries in one vertex's table on the clique gather path.  At 2**16,
+# a clique's tables weigh no more than the colors of one default sweep chunk.
+CLIQUE_TABLE_SPAN = 1 << 16
+
+
+def _interval_guess(partial: np.ndarray, n: np.uint64, c: int, s: int, a: int) -> np.ndarray:
+    """The own color that lands ``partial + c*x`` (mod n) in [s, s + c),
+    for uint64 partial checksums in [0, n).  Intermediate values stay
+    under 2n, so this is exact up to n = 2**63."""
+    d = (_u(s) + n - partial) % n
+    return ((d + _u(c - 1)) // _u(c)) % _u(a)
+
+
 @dataclass(frozen=True)
 class CliqueArithStrategy(Strategy):
     """Checksum strategy on a complete graph.
@@ -96,6 +109,14 @@ class CliqueArithStrategy(Strategy):
     checksum P of everyone else and guesses the unique own color that
     would land the full checksum inside its interval; whoever's interval
     contains the true checksum is correct.
+
+    The batch path gathers: sage i's unreduced partial checksum
+    sum_{j != i} c_j * x_j lies below span_i = 1 + sum_{j != i} c_j (a_j - 1),
+    so a table of span_i guesses, built once per instance, answers it with
+    one ``np.take`` and no division.  When some span_i exceeds
+    CLIQUE_TABLE_SPAN entries the batch path falls back to uint64
+    modular arithmetic, exact up to N = 2**63 (larger moduli raise
+    CapacityError on either path).
     """
 
     game: Game
@@ -118,24 +139,46 @@ class CliqueArithStrategy(Strategy):
             raise ContractError(f"interval at {v!r} matched {len(candidates)} colors, expected 1")
         return candidates[0]
 
+    def _params(self):
+        return zip(self.coefficients, self.starts, self.game.hat_tuple)
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, ...] | None:
+        """Per vertex, its uint64 guess for every unreduced partial
+        checksum; None when a table would exceed CLIQUE_TABLE_SPAN."""
+        reach = [c * (a - 1) for c, a in zip(self.coefficients, self.game.hat_tuple)]
+        spans = [1 + sum(reach) - r for r in reach]
+        if max(spans) > CLIQUE_TABLE_SPAN:
+            return None
+        n = _u(self.modulus)
+        return tuple(
+            _interval_guess(np.arange(span, dtype=U) % n, n, c, s, a)
+            for span, (c, s, a) in zip(spans, self._params())
+        )
+
     def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
-        # Every intermediate value below stays under 2 * modulus, so uint64
-        # arithmetic is exact up to a modulus of 2**63.
         if self.modulus > 2 ** 63:
             raise CapacityError(
                 f"clique modulus {self.modulus} is too large for batch evaluation: "
                 "exact up to 2**63",
                 self.modulus,
             )
+        if self._tables is None:
+            return self._arith_batch(colors)
+        return self._gather_batch(colors)
+
+    def _gather_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
+        terms = [np.multiply(row, c, dtype=np.intp, casting="unsafe")
+                 for row, c in zip(colors, self.coefficients)]
+        total = reduce(np.add, terms)
+        return [np.take(table, total - term) for table, term in zip(self._tables, terms)]
+
+    def _arith_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
         n = _u(self.modulus)
         terms = [(row.astype(U) * _u(c)) % n for row, c in zip(colors, self.coefficients)]
         total = reduce(lambda acc, term: (acc + term) % n, terms)
-        out = []
-        for term, c, s, a in zip(terms, self.coefficients, self.starts, self.game.hat_tuple):
-            partial = (total + n - term) % n
-            d = (_u(s) + n - partial) % n
-            out.append(((d + _u(c - 1)) // _u(c)) % _u(a))
-        return out
+        return [_interval_guess((total + n - term) % n, n, c, s, a)
+                for term, (c, s, a) in zip(terms, self._params())]
 
 
 def clique_strategy(game: Game) -> CliqueArithStrategy:

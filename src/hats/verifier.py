@@ -79,7 +79,10 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 
 
 def _index_space(game: Game, limit: int, what: str) -> int:
-    """The color space, refused above ``limit`` or the uint64 index range."""
+    """The color space, refused above ``limit`` or the uint64 index range;
+    a ``limit`` below 1 is a usage error."""
+    if limit < 1:
+        raise ContractError(f"limit must be at least 1, got {limit}")
     total = game.color_space
     limit = min(limit, DEFAULT_LIMIT)
     if total > limit:

@@ -69,6 +69,13 @@ class TestVerify:
         assert doc["mode"] == "sampled"
         assert doc["counterexample"] is None
 
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_nonpositive_limit_is_usage(self, expr, capsys, limit):
+        code, out, err = run(capsys, "verify", expr("clique[2,2]"), "--limit", limit)
+        assert code == EX_USAGE
+        assert out == ""
+        assert "limit must be at least 1" in err
+
     def test_capacity_exceeded(self, expr, capsys):
         code, _, err = run(
             capsys, "verify", expr("trefoil"), "--limit", "1000"
@@ -249,6 +256,20 @@ class TestInfo:
     def test_exit_tracks_verdict(self, expr, capsys):
         code, _, _ = run(capsys, "info", expr("clique[9,9]"))
         assert code == EX_FAIL
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "solve", "embed-check", "info"])
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_unreadable_input_is_usage(tmp_path, capsys, command, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, command, str(path))
+    assert code == EX_USAGE
+    assert out == ""
+    assert err.startswith("error:")
 
 
 class TestUsageErrors:

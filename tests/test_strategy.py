@@ -14,12 +14,16 @@ from hats.core import (
     almost_complete_graph,
     complete_graph,
 )
+from hats import strategy as strategy_module
 from hats.strategy import (
+    CLIQUE_TABLE_SPAN,
     AdaptedStrategy,
     CliqueArithStrategy,
+    ConeStrategy,
     Guess,
     K5_HATNESS,
     K5MinusTrapStrategy,
+    ProductStrategy,
     TableStrategy,
     TrapRow,
     TrapTable,
@@ -33,6 +37,7 @@ from hats.strategy import (
     shipped_trap_table,
     validate_trap_table,
 )
+from hats.verifier import _decode_chunk
 from conftest import naive_verify
 
 
@@ -149,6 +154,128 @@ def _vectors(n, max_h):
     import itertools
 
     return itertools.combinations_with_replacement(range(1, max_h + 1), n)
+
+
+def strategy_nodes(strategy):
+    """Every node of a strategy tree, the root first."""
+    yield strategy
+    if isinstance(strategy, ProductStrategy):
+        children = (strategy.left, strategy.right)
+    elif isinstance(strategy, ConeStrategy):
+        children = (strategy.base, *strategy.petals)
+    elif isinstance(strategy, AdaptedStrategy):
+        children = (strategy.inner,)
+    else:
+        children = ()
+    for child in children:
+        yield from strategy_nodes(child)
+
+
+def both_clique_paths(game, colors, monkeypatch):
+    """The gather rows and the uint64 arithmetic rows of the clique
+    strategy on ``colors``; the gather tables are built under a span
+    bound raised far enough to admit them."""
+    arith = clique_strategy(game)._arith_batch(colors)
+    with monkeypatch.context() as patch:
+        patch.setattr(strategy_module, "CLIQUE_TABLE_SPAN", 1 << 20)
+        gathering = clique_strategy(game)
+        assert gathering._tables is not None
+        gather = gathering._gather_batch(colors)
+    return gather, arith
+
+
+def assert_same_rows(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == np.uint64
+        np.testing.assert_array_equal(g, w)
+
+
+class TestCliqueBatchPaths:
+    """The gather path (spans up to CLIQUE_TABLE_SPAN) and the uint64
+    arithmetic path above it must give the same rows, and both must
+    agree with the scalar reference."""
+
+    # [1, k] has largest span k (at v0); [2, 2, m], m odd, has 3m - 1.
+    BELOW = ([1, CLIQUE_TABLE_SPAN], [2, 2, 21845])
+    ABOVE = ([1, CLIQUE_TABLE_SPAN + 1], [2, 2, 21847])
+
+    @pytest.mark.parametrize("hats", BELOW + ABOVE)
+    def test_paths_straddling_the_span_bound(self, hats, monkeypatch):
+        game = clique(hats)
+        strategy = clique_strategy(game)
+        assert (strategy._tables is not None) == (hats in self.BELOW)
+        colors = _decode_chunk(game, 0, game.color_space)
+        rows = strategy.guesses_batch(colors)
+        gather, arith = both_clique_paths(game, colors, monkeypatch)
+        assert_same_rows(rows, gather)
+        assert_same_rows(rows, arith)
+        # Scalar spot checks: the first and last assignments and a few between.
+        rng = random.Random(sum(hats))
+        picks = {0, game.color_space - 1, *(rng.randrange(game.color_space) for _ in range(4))}
+        for col in sorted(picks):
+            assignment = {v: int(colors[i, col]) for i, v in enumerate(game.graph.vertices)}
+            for i, v in enumerate(game.graph.vertices):
+                assert strategy.guess(v, assignment) == int(rows[i][col]), (col, v)
+
+    @pytest.mark.parametrize("hats", [[1], [1, 1], [1, 5], [1, 2, 2], [2, 3, 6], [2, 4, 4]])
+    def test_small_cliques_with_hatness_one(self, hats, monkeypatch):
+        game = clique(hats)
+        strategy = clique_strategy(game)
+        assert strategy._tables is not None
+        assert_paths_agree(strategy)
+        colors = _decode_chunk(game, 0, game.color_space)
+        gather, arith = both_clique_paths(game, colors, monkeypatch)
+        assert_same_rows(strategy.guesses_batch(colors), arith)
+        assert_same_rows(gather, arith)
+
+    def test_sampled_batch_above_the_bound(self, monkeypatch):
+        # Colors in no particular order, as the Philox source gives them.
+        game = clique([2, 2, 21847])
+        rng = np.random.default_rng(5)
+        colors = np.stack([rng.integers(0, h, 4096, dtype=np.uint64) for h in game.hat_tuple])
+        gather, arith = both_clique_paths(game, colors, monkeypatch)
+        assert_same_rows(clique_strategy(game).guesses_batch(colors), gather)
+        assert_same_rows(gather, arith)
+
+    def test_paper_builds_take_the_table_path(self, trefoil_composed, planar14_composed):
+        for composed in (trefoil_composed, planar14_composed):
+            cliques = [node for node in strategy_nodes(composed.strategy)
+                       if isinstance(node, CliqueArithStrategy)]
+            assert len(cliques) >= 9
+            assert all(node._tables is not None for node in cliques)
+
+
+def _dtype_cases():
+    from hats.constructors import game_26666, windmill
+
+    def adapter():
+        return adapt_majorized(clique_strategy(clique([2, 4, 4])), {"v0": 2, "v1": 3, "v2": 4})
+
+    return {
+        "clique-arith": lambda: clique_strategy(clique([2, 3, 6])),
+        "cone": lambda: game_26666().strategy,
+        "product": lambda: windmill(3, 2).strategy,
+        "majorize-adapter": adapter,
+        "k5minus-trap": lambda: k5minus_strategy()[1],
+        "table": lambda: TableStrategy(clique([2, 3]), {"v0": (0, 1, 0), "v1": (1, 2)}),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_dtype_cases()))
+def test_batch_rows_are_uint64(kind):
+    # An intp row still compares exactly with a uint64 color row, but the
+    # mixed-dtype comparison in the verifier is several times slower.
+    strategy = _dtype_cases()[kind]()
+    assert strategy.kind == kind
+    game = strategy.game
+    rng = np.random.default_rng(0)
+    colors = np.stack([rng.integers(0, h, 97, dtype=np.uint64) for h in game.hat_tuple])
+    rows = strategy.guesses_batch(colors)
+    assert len(rows) == len(game.graph.vertices)
+    for row in rows:
+        assert row.dtype == np.uint64
+        assert row.shape == (97,)
 
 
 class TestTrapTable:

@@ -213,6 +213,14 @@ class TestBoundedSweep:
         with pytest.raises(ContractError):
             verify_exhaustive(game, clique_strategy(game), chunk=0)
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_nonpositive_limit_refused(self, limit):
+        game = clique([2, 2])
+        with pytest.raises(ContractError, match="limit"):
+            verify_exhaustive(game, clique_strategy(game), limit=limit)
+        with pytest.raises(ContractError, match="limit"):
+            win_histogram(game, clique_strategy(game), limit=limit)
+
 
 class TestWinHistogram:
     def test_exact_covering_k2(self):
