@@ -95,6 +95,10 @@ def _elaborate_file(path: str) -> ComposedGame:
     return dsl.elaborate(dsl.parse(text))
 
 
+def _verdict_exit(status: str) -> int:
+    return {WINNING: EX_OK, LOSING: EX_FAIL}.get(status, EX_UNKNOWN)
+
+
 def _cmd_build(args) -> int:
     composed = _elaborate_file(args.expr_file)
     text = dump_game(composed.game, composed.rotation)
@@ -112,18 +116,14 @@ def _cmd_verify(args) -> int:
     if composed.strategy is None:
         verdict = composed.verdict.status
         print(json.dumps({"verdict": verdict, "report": None}))
-        return EX_FAIL if verdict == LOSING else EX_UNKNOWN
+        return _verdict_exit(verdict)
     if args.sample is not None:
         report = verify_sampled(composed.game, composed.strategy, args.sample,
                                 args.seed, jobs=args.jobs)
         print(report.dumps())
         return EX_FAIL if report.counterexample is not None else EX_UNKNOWN
-    try:
-        report = verify_exhaustive(composed.game, composed.strategy,
-                                   limit=args.limit, jobs=args.jobs)
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_UNKNOWN
+    report = verify_exhaustive(composed.game, composed.strategy,
+                               limit=args.limit, jobs=args.jobs)
     print(report.dumps())
     return EX_FAIL if report.counterexample is not None else EX_OK
 
@@ -132,11 +132,7 @@ def _cmd_solve(args) -> int:
     game, _ = load_game(Path(args.game_file).read_text())
     result = solve_exact(game, SearchBudget(args.budget))
     print(json.dumps(result.to_json(), indent=2))
-    if result.status == WINNING:
-        return EX_OK
-    if result.status == LOSING:
-        return EX_FAIL
-    return EX_UNKNOWN
+    return _verdict_exit(result.status)
 
 
 def _cmd_embed_check(args) -> int:
@@ -168,11 +164,7 @@ def _cmd_info(args) -> int:
         "provenance": composed.verdict.provenance.render(),
     }
     print(json.dumps(doc, indent=2))
-    if composed.verdict.status == WINNING:
-        return EX_OK
-    if composed.verdict.status == LOSING:
-        return EX_FAIL
-    return EX_UNKNOWN
+    return _verdict_exit(composed.verdict.status)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -193,9 +185,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return handlers[args.command](args)
     except (OSError, UnicodeDecodeError) as exc:
         # A missing, unreadable or non-UTF-8 file, or a directory.
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except (dsl.ParseError, dsl.ElaborationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
     except CapacityError as exc:

@@ -242,9 +242,15 @@ class Provenance:
     children: tuple["Provenance", ...] = ()
 
     def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """Every node in pre-order; iterative, so chains of any depth walk."""
+        return (node for _, node in self._walk_depths())
+
+    def _walk_depths(self):
+        stack = [(0, self)]
+        while stack:
+            depth, node = stack.pop()
+            yield depth, node
+            stack.extend((depth + 1, child) for child in reversed(node.children))
 
     def leaves(self):
         return [n for n in self.walk() if not n.children]
@@ -252,9 +258,11 @@ class Provenance:
     def count(self, kind: str) -> int:
         return sum(1 for n in self.walk() if n.kind == kind)
 
-    def render(self, depth: int = 0) -> str:
-        line = "  " * depth + self.kind + (f": {self.detail}" if self.detail else "")
-        return "\n".join([line] + [c.render(depth + 1) for c in self.children])
+    def render(self) -> str:
+        return "\n".join(
+            "  " * depth + node.kind + (f": {node.detail}" if node.detail else "")
+            for depth, node in self._walk_depths()
+        )
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ for composed vertex names, which contain slashes ("L/v1").  Clique
 vertices are auto-named v0..v(n-1); the almost-complete brick uses the
 names A2, A3, A14, B14, C14.  Parse errors carry line and column;
 constructor contract violations are reported with the source span of the
-offending sub-expression.
+offending sub-expression.  An expression may sit inside at most
+MAX_NESTING others; deeper input is a ParseError at the offending head.
 """
 
 from __future__ import annotations
@@ -97,6 +98,11 @@ class LowerExpr:
 Expr = Union[CliqueLit, NamedGame, WindmillLit, ProductExpr, ConeExpr, LowerExpr]
 
 NAMED = ("k5minus", "game26666", "trefoil", "planar14")
+
+# Most expressions one expression may sit inside.  The parser and the
+# elaborator recurse once per level, so this keeps both far from the
+# interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +189,16 @@ class _Parser:
         self.pos += 1
         return tok.value
 
-    def expr(self) -> Expr:
+    def expr(self, depth: int = 0) -> Expr:
+        """The expression at the cursor, inside ``depth`` others."""
         tok = self._peek()
         if tok is None or tok.kind != "NAME":
             self._fail("an expression (clique, k5minus, windmill, game26666, "
                        "trefoil, planar14, product, cone, lower)")
         span = Span(tok.line, tok.col)
+        if depth > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels",
+                             span.line, span.col)
         head = tok.value
         self.pos += 1
         if head == "clique":
@@ -212,28 +222,28 @@ class _Parser:
             return WindmillLit(k, n, span)
         if head == "product":
             self._take("(", "'('")
-            left = self.expr()
+            left = self.expr(depth + 1)
             self._take("@", "'@'")
             lv = self._name()
             self._take(",", "','")
-            right = self.expr()
+            right = self.expr(depth + 1)
             self._take("@", "'@'")
             rv = self._name()
             self._take(")", "')'")
             return ProductExpr(left, lv, right, rv, span)
         if head == "cone":
             self._take("(", "'('")
-            base = self.expr()
+            base = self.expr(depth + 1)
             self._take(";", "';'")
-            petals = [self._petal()]
+            petals = [self._petal(depth + 1)]
             while self._peek() is not None and self._peek().kind == ",":
                 self.pos += 1
-                petals.append(self._petal())
+                petals.append(self._petal(depth + 1))
             self._take(")", "')'")
             return ConeExpr(base, tuple(petals), span)
         if head == "lower":
             self._take("(", "'('")
-            inner = self.expr()
+            inner = self.expr(depth + 1)
             self._take(";", "';'")
             overrides = [self._override()]
             while self._peek() is not None and self._peek().kind == ",":
@@ -243,8 +253,8 @@ class _Parser:
             return LowerExpr(inner, tuple(overrides), span)
         raise ParseError(f"unknown expression head {head!r}", span.line, span.col)
 
-    def _petal(self) -> tuple[Expr, str, str]:
-        e = self.expr()
+    def _petal(self, depth: int) -> tuple[Expr, str, str]:
+        e = self.expr(depth)
         self._take("@", "'@'")
         o = self._name()
         self._take("/", "'/'")

@@ -7,9 +7,9 @@ Every strategy exposes two evaluation paths:
   written as directly as possible from the defining arithmetic, scanning
   candidate colors and asserting that the hypothesis set admits exactly
   one.  This is the reference path.
-* ``guesses_batch(colors)`` - closed-form numpy arithmetic over a batch
-  of assignments (one row per vertex, in vertex order).  This is the
-  path the sweep verifier drives.
+* ``guesses_batch(colors)`` - numpy arithmetic and table gathers over a
+  batch of assignments (one row per vertex, in vertex order).  This is
+  the path the sweep verifier drives.
 
 The two paths are implemented independently and the test suite checks
 them against each other exhaustively on small games.  Both are pure
@@ -220,6 +220,24 @@ def cyclic_interval(start: int, length: int, modulus: int = TRAP_MODULUS) -> tup
     return tuple((start + i) % modulus for i in range(length))
 
 
+# Keys per block of a trap guess table; no key (an unreduced checksum, or
+# one less a sage's own term plus 3c) exceeds 99.  The batch weights of
+# A2, A3, A14, B14, C14 are the checksum coefficients, then the A blocks'
+# offset 128*(c - b) and C14's 3c.
+_TRAP_KEYS = 128
+_TRAP_WEIGHTS = (21, 14, 3, _TRAP_KEYS, _TRAP_KEYS + 3)
+
+
+def _orbit_guesses(target: Sequence[int], w: int, h: int) -> np.ndarray:
+    """For each key q < _TRAP_KEYS, the unique x < h with (w*x + q) mod 42
+    in ``target``; ContractError when the set meets some orbit {q + w*x}
+    other than exactly once."""
+    hits = np.isin((np.arange(h)[:, None] * w + np.arange(_TRAP_KEYS)) % TRAP_MODULUS, target)
+    if not (hits.sum(axis=0) == 1).all():
+        raise ContractError(f"target set {sorted(target)} does not meet every step-{w} orbit once")
+    return hits.argmax(axis=0).astype(U)
+
+
 @dataclass(frozen=True)
 class TrapRow:
     d: int
@@ -327,6 +345,12 @@ class K5MinusTrapStrategy(Strategy):
     and guess into their row's target set, shifted back by -3c.  The
     validated table guarantees the five sets jointly cover Z_42, so some
     sage is always correct.
+
+    The batch path is one ``np.take`` per sage from a table built once per
+    instance, holding for each key q < 128 the unique x < h with
+    (w*x + q) mod 42 in the sage's target set.  B14 and C14 key on the
+    unreduced S.  An A sage keys on S minus its own term plus 3c (undoing
+    its row's shift) in block c - b + 13 of 27, which holds row (c - b) mod 14.
     """
 
     game: Game
@@ -368,47 +392,24 @@ class K5MinusTrapStrategy(Strategy):
         return cands[0]
 
     @cached_property
-    def _lookup(self):
+    def _tables(self) -> tuple[np.ndarray, ...]:
+        """One uint64 guess table per sage, in K5_VERTICES order."""
         if self.game.graph.vertices != K5_VERTICES:
             raise ContractError(f"the trap's batch path reads rows in the order {K5_VERTICES}")
-        a2_start = np.array([row.a2[0] for row in self.table.rows], dtype=U)
-        a3_start = np.array([row.a3[0] for row in self.table.rows], dtype=U)
-        by_res = np.zeros((14, 3), dtype=U)
-        for row in self.table.rows:
-            for x in row.a14:
-                by_res[row.d, x % 3] = x
-        return a2_start, a3_start, by_res
+        blocks = [self.table.rows[(k - 13) % 14] for k in range(27)]
+        a_tables = [
+            np.concatenate([_orbit_guesses(getattr(row, name), w, h) for row in blocks])
+            for name, w, h in (("a2", 21, 2), ("a3", 14, 3), ("a14", 3, 14))
+        ]
+        return (*a_tables, _orbit_guesses(FIRST_TRAP, 3, 14), _orbit_guesses(SECOND_TRAP, 3, 14))
 
     def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
-        m = _u(TRAP_MODULUS)
-        a2, a3, a14, b14, c14 = (row.astype(U) for row in colors)
-        t2, t3, t14 = (a2 * _u(21)) % m, (a3 * _u(14)) % m, (a14 * _u(3)) % m
-        s = (t2 + t3 + t14) % m
-
-        # The unique trap element sharing S's residue class modulo 3.
-        target_b = s % _u(3)
-        target_c = (s % _u(3)) * _u(4)
-        guess_b = ((target_b + m - s) % m) // _u(3)
-        guess_c = ((target_c + m - s) % m) // _u(3)
-
-        a2_start, a3_start, by_res = self._lookup
-        d = ((c14 + _u(14) - b14) % _u(14)).astype(np.intp)
-        shift = (c14 * _u(3)) % m
-
-        rest2 = (t3 + t14) % m
-        left2 = (np.take(a2_start, d) + m - shift) % m
-        guess2 = ((rest2 + m - left2) % m) // _u(21)
-
-        rest3 = (t2 + t14) % m
-        left3 = (np.take(a3_start, d) + m - shift) % m
-        off3 = (rest3 + m - left3) % m
-        guess3 = (_u(3) - off3 // _u(14)) % _u(3)
-
-        rest14 = (t2 + t3) % m
-        res = (rest14 % _u(3)).astype(np.intp)
-        t = (by_res[d, res] + m - shift) % m
-        guess14 = ((t + m - rest14) % m) // _u(3)
-        return [guess2, guess3, guess14, guess_b, guess_c]
+        t2, t3, t14, tb, tc = (np.multiply(row, w, dtype=np.intp, casting="unsafe")
+                               for row, w in zip(colors, _TRAP_WEIGHTS))
+        s = t2 + t3 + t14
+        shifted = s + tc - tb + 13 * _TRAP_KEYS
+        keys = (shifted - t2, shifted - t3, shifted - t14, s, s)
+        return [np.take(table, key) for table, key in zip(self._tables, keys)]
 
 
 def k5minus_game() -> Game:
@@ -516,6 +517,18 @@ def _part_rows(game: Game, names: Mapping[str, str], part: Game, *at: str):
     return (tuple(rows[v] for v in part.graph.vertices), *(part.graph.index[v] for v in at))
 
 
+def _check_uint64(game: Game, moduli: Sequence[int]) -> None:
+    """Composite batch paths hold colors, encoded guesses and split moduli
+    in uint64: every hatness must be at most 2**64 and every modulus below
+    it.  Anything larger would wrap silently, so it is refused."""
+    top = max(game.hat_tuple)
+    if top > 2 ** 64:
+        raise CapacityError(f"hatness {top} is too large for batch evaluation: exact up to 2**64", top)
+    if max(moduli) >= 2 ** 64:
+        raise CapacityError(f"split modulus {max(moduli)} is too large for batch evaluation: "
+                            "exact below 2**64", max(moduli))
+
+
 @dataclass(frozen=True)
 class ProductStrategy(Strategy):
     """Strategy for two winning games glued at one vertex.
@@ -561,6 +574,7 @@ class ProductStrategy(Strategy):
 
     @cached_property
     def _rows(self):
+        _check_uint64(self.game, [self.left_axis_hatness])
         return tuple(
             _part_rows(self.game, names, part.game, names[self.axis])
             for names, part in ((self.left_names, self.left), (self.right_names, self.right))
@@ -663,6 +677,7 @@ class ConeStrategy(Strategy):
 
     @cached_property
     def _rows(self):
+        _check_uint64(self.game, [p.game.h(a) for p, a in zip(self.petals, self.petal_a)])
         return tuple(
             (*_part_rows(self.game, names, p.game, a, o), _u(p.game.h(a)))
             for p, names, a, o in zip(self.petals, self.petal_names, self.petal_a, self.petal_o)
@@ -685,9 +700,8 @@ class ConeStrategy(Strategy):
                 out[r] = g
             out[rows[a]] = guesses[a] + h * ghat
             apex_guesses.append(guesses[o])
-        # First petal whose base guess matched; argmax picks index 0 when
-        # none did, which is the documented fallback.  rows[o] is the apex.
-        hits = np.stack([g == c for g, c in zip(base_guesses, base_colors)])
-        chosen = np.argmax(hits, axis=0)
-        out[rows[o]] = np.take_along_axis(np.stack(apex_guesses), chosen[None, :], axis=0)[0]
+        # The first petal whose base guess matched, else petal 0, as the
+        # scalar path does.  rows[o] is the apex.
+        hits = [g == c for g, c in zip(base_guesses, base_colors)]
+        out[rows[o]] = np.select(hits, apex_guesses, apex_guesses[0])
         return out

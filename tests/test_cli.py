@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hats import dsl
 from hats.cli import EX_FAIL, EX_OK, EX_UNKNOWN, EX_USAGE, export_dot, main
 from hats.core import Game, complete_graph, dump_game, load_game
 
@@ -93,6 +94,14 @@ class TestVerify:
         assert code == EX_UNKNOWN
         assert out == ""
         assert "too large" in err
+
+    def test_sampled_composite_beyond_2_64_is_unknown(self, expr, capsys):
+        # The hub's product node has hatness 2**65; its batch path would
+        # encode guesses past uint64, so it refuses before sampling.
+        code, out, err = run(capsys, "verify", expr("windmill(2, 65)"), "--sample", "100")
+        assert code == EX_UNKNOWN
+        assert out == ""
+        assert err.startswith("error:") and "too large" in err
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
     def test_seed_out_of_range_is_usage(self, expr, capsys, seed):
@@ -256,6 +265,33 @@ class TestInfo:
     def test_exit_tracks_verdict(self, expr, capsys):
         code, _, _ = run(capsys, "info", expr("clique[9,9]"))
         assert code == EX_FAIL
+
+    def test_deep_windmill_provenance(self, expr, capsys):
+        # 1,200 nested products: deeper than the recursion limit.
+        code, out, _ = run(capsys, "info", expr("windmill(2, 1200)"))
+        assert code == EX_OK
+        assert json.loads(out)["provenance"].count("clique") == 1200
+
+
+def lower_nest(depth):
+    return "lower(" * depth + "clique[2,2]" + "; v0=2)" * depth
+
+
+@pytest.mark.parametrize("command", ["info", "verify"])
+def test_nesting_at_the_bound(expr, capsys, command):
+    code, _, err = run(capsys, command, expr(lower_nest(dsl.MAX_NESTING)))
+    assert code == EX_OK, err
+
+
+@pytest.mark.parametrize("command", ["info", "verify"])
+@pytest.mark.parametrize("depth", [dsl.MAX_NESTING + 1, 2000])
+def test_nesting_past_the_bound_is_usage(expr, capsys, command, depth):
+    code, out, err = run(capsys, command, expr(lower_nest(depth)))
+    assert code == EX_USAGE
+    assert out == ""
+    # The head nested one level too deep, after MAX_NESTING + 1 "lower(".
+    col = 6 * (dsl.MAX_NESTING + 1) + 1
+    assert err == f"error: 1:{col}: expression nested deeper than {dsl.MAX_NESTING} levels\n"
 
 
 @pytest.mark.parametrize("command", ["build", "verify", "solve", "embed-check", "info"])

@@ -170,6 +170,26 @@ class TestHgLowerBound:
         assert hg_lower_bound(Verdict(LOSING, Provenance("clique")), game) is None
 
 
+class TestProvenance:
+    def test_walk_and_render_are_pre_order(self):
+        tree = Provenance("a", "1", (Provenance("b", "", (Provenance("c"),)), Provenance("d")))
+        assert [n.kind for n in tree.walk()] == ["a", "b", "c", "d"]
+        assert tree.render() == "a: 1\n  b\n    c\n  d"
+        assert [n.kind for n in tree.leaves()] == ["c", "d"]
+
+    def test_deep_chain(self):
+        # Far deeper than the recursion limit.
+        node = Provenance("leaf")
+        for i in range(5000):
+            node = Provenance("step", str(i), (node,))
+        assert node.count("step") == 5000
+        assert [n.kind for n in node.leaves()] == ["leaf"]
+        lines = node.render().split("\n")
+        assert len(lines) == 5001
+        assert lines[0] == "step: 4999"
+        assert lines[-1] == "  " * 5000 + "leaf"
+
+
 class TestJsonDocuments:
     def test_round_trip(self):
         game = make_game([2, 3, 14])

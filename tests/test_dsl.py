@@ -68,6 +68,25 @@ class TestParse:
         with pytest.raises(ParseError, match="expression"):
             parse("pentagon[2]")
 
+    @pytest.mark.parametrize("wrap", [
+        lambda e: f"product({e}@v0, clique[2,2]@v0)",
+        lambda e: f"product(clique[2,2]@v0, {e}@v0)",
+        lambda e: f"cone({e}; clique[2,2]@v0/v1)",
+        lambda e: f"cone(clique[1]; {e}@v0/v1)",
+        lambda e: f"lower({e}; v0=2)",
+    ])
+    def test_nesting_bound(self, wrap):
+        expr = "clique[2,2]"
+        for _ in range(dsl.MAX_NESTING):
+            expr = wrap(expr)
+        parse(expr)
+        deeper = wrap(expr)
+        with pytest.raises(ParseError, match="nested deeper") as err:
+            parse(deeper)
+        # Reported at the first head inside MAX_NESTING + 1 others.
+        assert deeper[err.value.col - 1:].startswith("clique[")
+        assert deeper[:err.value.col - 1].count("(") == dsl.MAX_NESTING + 1
+
 
 class TestPrinter:
     CASES = [

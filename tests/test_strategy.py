@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hats.core import (
+    CapacityError,
     ContractError,
     Game,
     Graph,
@@ -22,6 +23,7 @@ from hats.strategy import (
     ConeStrategy,
     Guess,
     K5_HATNESS,
+    K5_VERTICES,
     K5MinusTrapStrategy,
     ProductStrategy,
     TableStrategy,
@@ -51,6 +53,10 @@ def batch_of(game, assignments):
         np.array([a[v] for a in assignments], dtype=np.uint64)
         for v in game.graph.vertices
     ]
+
+
+def random_colors(game, rng, n):
+    return np.stack([rng.integers(0, h, n, dtype=np.uint64) for h in game.hat_tuple])
 
 
 def all_assignments(game):
@@ -360,6 +366,78 @@ class TestK5MinusStrategy:
         with pytest.raises(ContractError, match="order"):
             verify_exhaustive(game, strategy, jobs=1)
 
+    def test_broken_transversal_refused_in_batch(self):
+        # An unvalidated table whose A14 set misses a residue class: the
+        # batch tables cannot be built, so the batch path refuses.
+        table = load_trap_table()
+        row = table.rows[0]
+        bad = TrapTable((TrapRow(row.d, row.a2, row.a3, (40, 41, 4)),) + table.rows[1:])
+        strategy = K5MinusTrapStrategy(k5minus_game(), bad)
+        colors = random_colors(strategy.game, np.random.default_rng(0), 16)
+        with pytest.raises(ContractError, match="orbit"):
+            strategy.guesses_batch(colors)
+
+
+def clique_chain(copies):
+    """``copies`` K2s glued at v0 by nested products: v0 has hatness 2**copies."""
+    expr = "clique[2,2]"
+    for _ in range(copies - 1):
+        expr = f"product({expr}@v0, clique[2,2]@v0)"
+    return expr
+
+
+def elaborated(text):
+    from hats.dsl import elaborate, parse
+
+    return elaborate(parse(text))
+
+
+class TestCompositeCapacity:
+    """Product and cone batch paths encode guesses in uint64; a node whose
+    hatness is above 2**64 refuses instead of wrapping."""
+
+    def test_wrapping_product_refused(self):
+        x = clique_chain(41)
+        composed = elaborated(f"lower(product({x}@v0, {x}@v0); v0=2)")
+        strategy, game = composed.strategy, composed.game
+        inner = strategy.inner
+        assert inner.game.h("v0") == 2 ** 82
+        # Each K2's v0 guesses its v1's color, so the exact guess at v0
+        # is a binary number with one bit per copy: find the copies of
+        # bits 0 and 64.
+        zeros = {v: 0 for v in game.graph.vertices}
+        bit_of = {inner.guess("v0", {**zeros, u: 1}): u for u in game.graph.vertices[1:]}
+        assignment = {**zeros, "v0": 1, bit_of[1]: 1, bit_of[2 ** 64]: 1}
+        assert inner.guess("v0", assignment) == 1 + 2 ** 64
+        # The scalar path lowers that guess to 0; a wrapping batch path
+        # would say 1, the true color, and count a win that is not there.
+        assert strategy.guess("v0", assignment) == 0
+        with pytest.raises(CapacityError, match="2\\*\\*64"):
+            strategy.guesses_batch(batch_of(game, [assignment]))
+
+    def test_split_modulus_of_2_64_refused(self):
+        # Hatness 2**64 * 1 fits, but the split modulus 2**64 does not.
+        composed = elaborated(f"product({clique_chain(64)}@v0, clique[1,1]@v0)")
+        game = composed.game
+        assert game.h("v0") == 2 ** 64
+        with pytest.raises(CapacityError, match="split modulus"):
+            composed.strategy.guesses_batch(batch_of(game, [{v: 0 for v in game.graph.vertices}]))
+
+    def test_hatness_2_64_is_exact(self):
+        from hats.constructors import windmill
+
+        lowered = windmill(2, 64).strategy
+        for strategy in (lowered, lowered.inner):
+            game = strategy.game
+            assert max(game.hat_tuple) == (2 if strategy is lowered else 2 ** 64)
+            colors = random_colors(game, np.random.default_rng(64), 24)
+            rows = strategy.guesses_batch(colors)
+            for col in range(colors.shape[1]):
+                assignment = {v: int(colors[i, col]) for i, v in enumerate(game.graph.vertices)}
+                scalar = strategy.guesses(assignment)
+                for i, v in enumerate(game.graph.vertices):
+                    assert scalar[v] == int(rows[i][col]), (col, v)
+
 
 class TestCompositeScalarBatchAgreement:
     """Composite strategies run two independently written evaluation
@@ -478,6 +556,68 @@ class TestLocality:
         game = clique([2, 2])
         strategy = TableStrategy(game, {"v0": (0, 1), "v1": (1, 0)})
         self._assert_local(strategy, random.Random(4))
+
+
+class TestBatchLocality:
+    """The batch path is local too: redrawing every row outside a
+    vertex's neighborhood (its own row included) leaves its guesses
+    unchanged."""
+
+    def _assert_local(self, strategy, seed, n=32):
+        game = strategy.game
+        rng = np.random.default_rng(seed)
+        colors = random_colors(game, rng, n)
+        baseline = strategy.guesses_batch(colors)
+        for i, v in enumerate(game.graph.vertices):
+            seen = [game.graph.index[u] for u in game.graph.adjacency[v]]
+            perturbed = random_colors(game, rng, n)
+            perturbed[seen] = colors[seen]
+            np.testing.assert_array_equal(strategy.guesses_batch(perturbed)[i], baseline[i],
+                                          err_msg=v)
+
+    def test_clique(self):
+        self._assert_local(clique_strategy(clique([2, 3, 6])), 1)
+
+    def test_k5minus_trap(self):
+        self._assert_local(k5minus_strategy()[1], 2)
+
+    def test_table(self):
+        # A path a - b - c with arbitrary tables: a and c do not see each other.
+        game = Game(Graph(("a", "b", "c"), [("a", "b"), ("b", "c")]), {"a": 2, "b": 3, "c": 2})
+        strategy = TableStrategy(game, {"a": (1, 0, 1), "b": (2, 0, 1, 1), "c": (0, 1, 1)})
+        self._assert_local(strategy, 3)
+
+    def test_product(self):
+        from hats.constructors import windmill
+
+        strategy = windmill(3, 2).strategy
+        assert strategy.kind == "product"
+        self._assert_local(strategy, 4)
+
+    def test_adapter(self):
+        strategy = adapt_majorized(clique_strategy(clique([2, 4, 4])), {"v0": 2, "v1": 3, "v2": 4})
+        self._assert_local(strategy, 5)
+
+    def test_cone(self, game26666_composed):
+        assert game26666_composed.strategy.kind == "cone"
+        self._assert_local(game26666_composed.strategy, 6)
+
+    def test_trefoil(self, trefoil_composed):
+        self._assert_local(trefoil_composed.strategy, 7)
+
+    def test_planar14(self, planar14_composed):
+        self._assert_local(planar14_composed.strategy, 8, n=8)
+
+    def test_trap_nonadjacent_pair(self):
+        _, strategy = k5minus_strategy()
+        b, c = K5_VERTICES.index("B14"), K5_VERTICES.index("C14")
+        colors = random_colors(strategy.game, np.random.default_rng(9), 64)
+        baseline = strategy.guesses_batch(colors)
+        for other, row in ((c, b), (b, c)):
+            for x in range(14):
+                perturbed = colors.copy()
+                perturbed[other] = x
+                np.testing.assert_array_equal(strategy.guesses_batch(perturbed)[row], baseline[row])
 
 
 class TestTableStrategy:
