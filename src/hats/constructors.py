@@ -225,14 +225,8 @@ def _glued_rotation(cg1: ComposedGame, cg2: ComposedGame, a1: str, a2: str,
                     inv_left: dict[str, str], inv_right: dict[str, str]) -> Optional[Rotation]:
     if cg1.rotation is None or cg2.rotation is None:
         return None
-    if len(cg1.game.graph.vertices) == 1:
-        r1 = dict(cg1.rotation)
-    else:
-        r1 = _aligned_rotation(cg1.game, cg1.rotation, a1)
-    if len(cg2.game.graph.vertices) == 1:
-        r2 = dict(cg2.rotation)
-    else:
-        r2 = _aligned_rotation(cg2.game, cg2.rotation, a2)
+    r1 = _aligned_rotation(cg1.game, cg1.rotation, a1)
+    r2 = _aligned_rotation(cg2.game, cg2.rotation, a2)
     return embedding.merge_at_vertex(
         _rename_rotation(r1, inv_left), _rename_rotation(r2, inv_right), inv_left[a1]
     )

@@ -252,6 +252,22 @@ class Provenance:
             yield depth, node
             stack.extend((depth + 1, child) for child in reversed(node.children))
 
+    def _pre_order(self):
+        return [(depth, node.kind, node.detail) for depth, node in self._walk_depths()]
+
+    # The pre-order (depth, kind, detail) sequence determines the tree, so
+    # equality and hashing read it instead of recursing into children.
+    def __eq__(self, other):
+        if not isinstance(other, Provenance):
+            return NotImplemented
+        return self is other or self._pre_order() == other._pre_order()
+
+    def __hash__(self):
+        return hash(tuple(self._pre_order()))
+
+    def __repr__(self):
+        return f"Provenance({self.kind!r}, {self.detail!r}, children=<{len(self.children)}>)"
+
     def leaves(self):
         return [n for n in self.walk() if not n.children]
 

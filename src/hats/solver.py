@@ -16,6 +16,9 @@ counting bound prunes branches where the undecided cells cannot cover
 the remaining assignments even in the best case (each cell can newly
 cover at most the number of assignments that agree with it on the
 pattern and the chosen color).
+
+The undo trail holds domain removals only, one (cell, color) each; every
+count is a function of the domains, so undo recomputes it.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .strategy import TableStrategy, pattern_indices
 from .verifier import _decode_chunk
 
 MAX_PATTERNS = 2 ** 16
-MAX_ASSIGNMENTS = 2 ** 24
+MAX_OPTIONS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -79,10 +82,9 @@ class _Search:
                 )
             self.pattern_counts.append(count)
         total = game.color_space
-        if total > MAX_ASSIGNMENTS:
-            raise CapacityError(
-                f"game too large for exact solving: {total} assignments", total
-            )
+        options = total * len(verts)
+        if options > MAX_OPTIONS:
+            raise CapacityError(f"game too large for exact solving: {options} options", options)
 
         # Per cell: its color-set domain and how many assignments one
         # fixed entry can cover (the colors of vertices outside the
@@ -96,60 +98,60 @@ class _Search:
             closed = set(game.graph.adjacency[v]) | {v}
             self.cell_cap += [math.prod(game.h(u) for u in verts if u not in closed)] * count
 
-        # Per assignment: its option list [(vertex, cell, own color)];
-        # per cell: the assignments referencing it.
-        self.options: list[list[tuple[int, int, int]]] = [[] for _ in range(total)]
+        # Per assignment: its option list [(cell, own color)] in vertex
+        # order; per cell: the assignments referencing it.
+        self.options: list[list[tuple[int, int]]] = [[] for _ in range(total)]
         self.cell_refs: list[list[tuple[int, int]]] = [[] for _ in self.dom]
         colors = _decode_chunk(game, 0, total)
         for i in range(len(verts)):
             cells = (self.cell_base[i] + pattern_indices(game, i, colors)).tolist()
             for a, (cell, own) in enumerate(zip(cells, colors[i].tolist())):
-                self.options[a].append((i, cell, own))
+                self.options[a].append((cell, own))
                 self.cell_refs[cell].append((a, own))
 
-        self.assured = [0] * total
+        # Counts derived from the domains: per assignment its live options
+        # and the fixed cells already guessing its color; the assignments
+        # with none; the summed capacity of the cells with two or more
+        # colors.  Hatness-1 cells start fixed at color 0.
         self.npos = [len(verts)] * total
-        self.uncovered = total
-        self.trail: list[tuple] = []
+        self.assured = [0] * total
+        for cell, dom in enumerate(self.dom):
+            if dom == 1:
+                for a, _ in self.cell_refs[cell]:
+                    self.assured[a] += 1
+        self.uncovered = self.assured.count(0)
+        self.potential = sum(cap for dom, cap in zip(self.dom, self.cell_cap) if dom & (dom - 1))
+        self.trail: list[tuple[int, int]] = []  # removed (cell, color)
         self.units: deque[int] = deque()
         self.nodes = 0
 
     # -- state updates ----------------------------------------------------
 
-    def _assure(self, a: int) -> None:
-        if self.assured[a] == 0:
-            self.uncovered -= 1
-        self.assured[a] += 1
-        self.trail.append(("assured", a))
-
-    def _assure_fixed(self, cell: int) -> None:
-        """Mark covered every assignment a singleton cell now guesses."""
-        fixed = self.dom[cell].bit_length() - 1
-        for a, req in self.cell_refs[cell]:
-            if req == fixed:
-                self._assure(a)
-
     def _remove(self, cell: int, color: int) -> bool:
-        """Drop a color from a cell's domain; False on conflict."""
-        mask = 1 << color
-        if not self.dom[cell] & mask:
+        """Drop a color from a cell's domain; False on conflict.  Counts
+        are updated even then: every False is undone before they are read."""
+        dom = self.dom[cell] & ~(1 << color)
+        if dom == self.dom[cell]:
             return True
-        self.dom[cell] &= ~mask
-        self.trail.append(("dom", cell, mask))
-        if self.dom[cell] == 0:
-            return False
-        ok = True
+        self.dom[cell] = dom
+        self.trail.append((cell, color))
+        fixed = -1 if dom & (dom - 1) else dom.bit_length() - 1
+        if fixed >= 0:
+            self.potential -= self.cell_cap[cell]
+        npos, assured = self.npos, self.assured
+        ok = dom != 0
         for a, req in self.cell_refs[cell]:
             if req == color:
-                self.npos[a] -= 1
-                self.trail.append(("npos", a))
-                if self.assured[a] == 0:
-                    if self.npos[a] == 0:
+                npos[a] -= 1
+                if assured[a] == 0:
+                    if npos[a] == 0:
                         ok = False
-                    elif self.npos[a] == 1:
+                    elif npos[a] == 1:
                         self.units.append(a)
-        if ok and self.dom[cell].bit_count() == 1:
-            self._assure_fixed(cell)
+            elif req == fixed:
+                if assured[a] == 0:
+                    self.uncovered -= 1
+                assured[a] += 1
         return ok
 
     def _fix(self, cell: int, color: int) -> bool:
@@ -162,16 +164,23 @@ class _Search:
         return True
 
     def _undo(self, mark: int) -> None:
+        """Restore removals down to the trail mark, reversing _remove's
+        counts from the domain each removal left behind."""
+        npos, assured = self.npos, self.assured
         while len(self.trail) > mark:
-            entry = self.trail.pop()
-            if entry[0] == "dom":
-                self.dom[entry[1]] |= entry[2]
-            elif entry[0] == "npos":
-                self.npos[entry[1]] += 1
-            else:
-                self.assured[entry[1]] -= 1
-                if self.assured[entry[1]] == 0:
-                    self.uncovered += 1
+            cell, color = self.trail.pop()
+            dom = self.dom[cell]
+            fixed = -1 if dom & (dom - 1) else dom.bit_length() - 1
+            if fixed >= 0:
+                self.potential += self.cell_cap[cell]
+            for a, req in self.cell_refs[cell]:
+                if req == color:
+                    npos[a] += 1
+                elif req == fixed:
+                    assured[a] -= 1
+                    if assured[a] == 0:
+                        self.uncovered += 1
+            self.dom[cell] = dom | 1 << color
 
     def _propagate(self) -> bool:
         while self.units:
@@ -182,31 +191,17 @@ class _Search:
                 return False
             if self.npos[a] != 1:
                 continue
-            for _, cell, req in self.options[a]:
+            for cell, req in self.options[a]:
                 if self.dom[cell] & (1 << req):
                     if not self._fix(cell, req):
                         return False
                     break
         return True
 
-    def _capacity_ok(self) -> bool:
-        potential = 0
-        for dom, cap in zip(self.dom, self.cell_cap):
-            if dom & (dom - 1):
-                potential += cap
-                if potential >= self.uncovered:
-                    return True
-        return False
-
     # -- search ------------------------------------------------------------
 
     def run(self) -> str:
         self.units.extend(range(len(self.options)))
-        # Hatness-1 vertices start with singleton cells; fire their
-        # assurances before anything else.
-        for cell, dom in enumerate(self.dom):
-            if dom.bit_count() == 1:
-                self._assure_fixed(cell)
         if not self._propagate():
             return "unsat"
         # Each search level is a generator that yields to descend; the
@@ -227,7 +222,7 @@ class _Search:
     def _search(self) -> Generator[None, str, str]:
         if self.uncovered == 0:
             return "sat"
-        if not self._capacity_ok():
+        if self.potential < self.uncovered:
             return "unsat"
         best = None
         for a in range(len(self.options)):
@@ -236,7 +231,7 @@ class _Search:
                     best = a
                     if self.npos[a] <= 1:
                         break
-        for i, cell, req in self.options[best]:
+        for cell, req in self.options[best]:
             if not self.dom[cell] & (1 << req):
                 continue
             self.nodes += 1
@@ -272,7 +267,8 @@ def solve_exact(game: Game, budget: SearchBudget = SearchBudget()) -> SolveResul
     Winning results carry an explicit table strategy; Losing means the
     whole search space was refuted; Unknown means the node budget ran
     out first.  Games with more than MAX_PATTERNS visible patterns at a
-    vertex or more than MAX_ASSIGNMENTS assignments raise CapacityError.
+    vertex or more than MAX_OPTIONS options (assignments times vertices)
+    raise CapacityError before the search state is built.
     """
     search = _Search(game, budget)
     outcome = search.run()

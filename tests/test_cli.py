@@ -174,6 +174,19 @@ class TestSolve:
         assert code == EX_UNKNOWN
         assert "too large" in err
 
+    @pytest.mark.parametrize("hats", [[2] * 24, [2 ** 24]], ids=["24 sages", "2^24 hats"])
+    def test_too_many_options_is_unknown(self, tmp_path, capsys, hats):
+        from hats.core import Graph
+
+        names = tuple(f"v{i}" for i in range(len(hats)))
+        path = tmp_path / "edgeless.json"
+        path.write_text(dump_game(Game(Graph(names, []), dict(zip(names, hats)))))
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == EX_UNKNOWN
+        assert out == ""
+        assert err.startswith("error: ") and err.rstrip().endswith(" options")
+        assert "Traceback" not in err
+
     def test_deep_search_budget_is_unknown(self, tmp_path, capsys):
         names = tuple(f"v{i}" for i in range(7))
         path = tmp_path / "k7.json"

@@ -188,6 +188,18 @@ class TestProvenance:
         assert len(lines) == 5001
         assert lines[0] == "step: 4999"
         assert lines[-1] == "  " * 5000 + "leaf"
+        assert hash(node) == hash(node)
+        assert repr(node) == "Provenance('step', '4999', children=<1>)"
+        assert "Provenance('step'" in repr(Verdict(WINNING, node))
+
+        def chain(changed_at=None):
+            node = Provenance("leaf")
+            for i in range(5000):
+                node = Provenance("step", "x" if i == changed_at else str(i), (node,))
+            return node
+
+        assert chain() == node and hash(chain()) == hash(node)
+        assert chain(changed_at=17) != node
 
 
 class TestJsonDocuments:

@@ -15,7 +15,9 @@ from hats.core import (
     majorizes,
 )
 from hats.solver import (
+    MAX_OPTIONS,
     SearchBudget,
+    _Search,
     check_against_clique_theorem,
     solve_exact,
 )
@@ -34,6 +36,19 @@ def star(leaves, hatness):
         Graph(names, [("axis", leaf) for leaf in names[1:]]),
         {v: hatness for v in names},
     )
+
+
+def cycle(n, hatness):
+    names = tuple(f"v{i}" for i in range(n))
+    return Game(
+        Graph(names, [(names[i], names[(i + 1) % n]) for i in range(n)]),
+        {v: hatness for v in names},
+    )
+
+
+def edgeless(hats):
+    names = tuple(f"v{i}" for i in range(len(hats)))
+    return Game(Graph(names, []), dict(zip(names, hats)))
 
 
 class TestSolveExact:
@@ -73,9 +88,18 @@ class TestSolveExact:
 
     def test_pattern_capacity(self):
         # v2 sees 257 * 257 = 66,049 patterns, above MAX_PATTERNS = 2**16,
-        # while the 132,098 assignments stay below MAX_ASSIGNMENTS.
+        # while its 396,294 options stay below MAX_OPTIONS.
         with pytest.raises(CapacityError, match="visible patterns"):
             solve_exact(clique([257, 257, 2]))
+
+    @pytest.mark.parametrize("hats", [[2] * 24, [2 ** 24]])
+    def test_option_capacity_refuses_before_building(self, hats):
+        # 4.0e8 and 1.7e7 options: refused from the sizes alone, before
+        # any per-option list is allocated.
+        game = edgeless(hats)
+        assert game.color_space * len(hats) > MAX_OPTIONS
+        with pytest.raises(CapacityError, match="options"):
+            solve_exact(game)
 
     def test_deep_search_budget_is_unknown(self):
         # K7 at 3 colors searches deeper than a recursive search could go
@@ -166,3 +190,48 @@ class TestCliqueTheoremCheck:
         # collapsed to a star; hat guessing number 2k-2 = 2 < 3.
         assert solve_exact(star(2, 3)).status == LOSING
         assert solve_exact(star(2, 2)).status == WINNING
+
+
+class _CheckedSearch(_Search):
+    """Recomputes every derived count from the domains after each undo."""
+
+    def _undo(self, mark):
+        super()._undo(mark)
+        self.check_counts()
+
+    def check_counts(self):
+        npos = [0] * len(self.options)
+        assured = [0] * len(self.options)
+        for cell, refs in enumerate(self.cell_refs):
+            dom = self.dom[cell]
+            for a, req in refs:
+                npos[a] += dom >> req & 1
+                assured[a] += dom == 1 << req
+        assert self.npos == npos
+        assert self.assured == assured
+        assert self.uncovered == assured.count(0)
+        assert self.potential == sum(
+            cap for dom, cap in zip(self.dom, self.cell_cap) if dom & (dom - 1))
+
+
+class TestSearchState:
+    @pytest.mark.parametrize("game", [
+        cycle(4, 3), star(3, 3), clique([3, 3, 3]), clique([2, 4, 4]), clique([3] * 7),
+        clique([1, 2, 2]),
+    ], ids=["C4@3", "star(3,3)", "clique[3,3,3]", "clique[2,4,4]", "clique[3]*7",
+            "clique[1,2,2]"])
+    def test_counts_match_domains_after_every_undo(self, game):
+        search = _CheckedSearch(game, SearchBudget(1000))
+        search.check_counts()
+        search.run()
+        search.check_counts()
+
+    @pytest.mark.parametrize("game, budget, status, nodes", [
+        (cycle(4, 3), 50_000, WINNING, 1190),
+        (clique([3] * 5), 50_000, WINNING, 243),
+        (clique([4] * 4), 10_000, UNKNOWN, 10_001),
+        (cycle(5, 3), 10_000, UNKNOWN, 10_001),
+    ], ids=["C4@3", "clique[3]*5", "clique[4]*4", "C5@3"])
+    def test_pinned_search_lengths(self, game, budget, status, nodes):
+        result = solve_exact(game, SearchBudget(budget))
+        assert (result.status, result.nodes) == (status, nodes)
