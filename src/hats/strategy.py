@@ -58,6 +58,13 @@ class Strategy:
     game: Game
     kind: str = "abstract"
 
+    # Subclasses keep identity equality and this shallow repr: the dataclass
+    # forms recurse through child strategies, past the recursion limit on
+    # deep builds.
+    def __repr__(self):
+        size = len(self.game.graph.vertices)
+        return f"{type(self).__name__}(kind={self.kind!r}, vertices=<{size}>)"
+
     def guess(self, v: str, assignment: Assignment) -> int:
         raise NotImplementedError
 
@@ -98,7 +105,7 @@ def _interval_guess(partial: np.ndarray, n: np.uint64, c: int, s: int, a: int) -
     return ((d + _u(c - 1)) // _u(c)) % _u(a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CliqueArithStrategy(Strategy):
     """Checksum strategy on a complete graph.
 
@@ -332,7 +339,7 @@ def shipped_trap_table() -> TrapTable:
     return _SHIPPED_TABLE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class K5MinusTrapStrategy(Strategy):
     """Strategy for the [2, 3, 14, 14, 14] game on K5 minus one edge.
 
@@ -425,7 +432,7 @@ def k5minus_strategy() -> tuple[Game, K5MinusTrapStrategy]:
 # Strategy tables (the exact solver's output format)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TableStrategy(Strategy):
     """Explicit lookup table: one guess per visible neighbor pattern.
 
@@ -472,7 +479,7 @@ def pattern_indices(game: Game, i: int, colors: Sequence[np.ndarray]) -> np.ndar
 # Majorization adapter
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class AdaptedStrategy(Strategy):
     """A winning strategy replayed on a game with lower hatness.
 
@@ -529,7 +536,7 @@ def _check_uint64(game: Game, moduli: Sequence[int]) -> None:
                             "exact below 2**64", max(moduli))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ProductStrategy(Strategy):
     """Strategy for two winning games glued at one vertex.
 
@@ -597,7 +604,7 @@ class ProductStrategy(Strategy):
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ConeStrategy(Strategy):
     """Strategy for petal games sharing an apex, wired by a base game.
 

@@ -216,6 +216,16 @@ class TestWindmill:
         with pytest.raises(ContractError):
             windmill(1, 3)
 
+    def test_deep_builds_compare_and_print(self):
+        # 1,200 nested products: structural equality or repr of the strategy
+        # tree would pass the recursion limit.  Strategies compare by identity.
+        a, b = windmill(2, 1200), windmill(2, 1200)
+        assert a.strategy != b.strategy
+        assert a.strategy == a.strategy
+        assert a != b
+        assert repr(a.strategy) == "AdaptedStrategy(kind='majorize-adapter', vertices=<1201>)"
+        assert "AdaptedStrategy(" in repr(a)
+
 
 class TestBlowup:
     def test_26666_blowup_is_trefoil(self, game26666_composed, trefoil_composed):

@@ -1,11 +1,14 @@
 """The test configuration itself: checks that a misspelt mark cannot
-silently deselect or skip a test."""
+silently deselect or skip a test, and that the parallel sweep is warning
+free in a fresh interpreter."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_unknown_mark_fails_collection(tmp_path):
@@ -21,3 +24,37 @@ def test_unknown_mark_fails_collection(tmp_path):
     # Exit code 2 is pytest's "interrupted": the module failed to collect.
     assert result.returncode == 2, result.stdout
     assert "Unknown pytest.mark.slwo" in result.stdout
+
+
+def run_dev_mode(tmp_path, *args):
+    """Python in development mode with every warning an error.  Warnings
+    raised in the pool's threads or at interpreter exit (unclosed
+    resources, threads left running) reach stderr here, out of reach of
+    pytest's in-process warning filter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-X", "dev", "-W", "error", *args],
+                          capture_output=True, text=True, timeout=300, cwd=tmp_path, env=env)
+
+
+def test_early_stopping_sweep_is_warning_free(tmp_path):
+    # Everyone guesses 0, so the lowest counterexample is the first
+    # assignment without a 0, index 3280 of 6561: the sweep stops early.
+    script = (
+        "from hats.core import Game, complete_graph\n"
+        "from hats.strategy import TableStrategy\n"
+        "from hats.verifier import verify_exhaustive\n"
+        "names = tuple(f'v{i}' for i in range(8))\n"
+        "game = Game(complete_graph(names), dict.fromkeys(names, 3))\n"
+        "zeros = TableStrategy(game, {v: (0,) * 3 ** 7 for v in names})\n"
+        "report = verify_exhaustive(game, zeros, jobs=2, chunk=16)\n"
+        "assert report.checked == 3281, report\n"
+    )
+    result = run_dev_mode(tmp_path, "-c", script)
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_clean_cli_verify_is_warning_free(tmp_path):
+    (tmp_path / "game.expr").write_text("game26666")
+    result = run_dev_mode(tmp_path, "-m", "hats.cli", "verify", "game.expr", "--jobs", "2")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert '"counterexample": null' in result.stdout

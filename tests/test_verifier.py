@@ -10,6 +10,7 @@ from hats.core import (
     ContractError,
     Game,
     Graph,
+    assignment_at,
     assignment_index,
     complete_graph,
 )
@@ -18,6 +19,7 @@ from hats.verifier import (
     MAX_JOBS,
     SAMPLE_BLOCK,
     VerifyReport,
+    _decode_chunk,
     verify_exhaustive,
     verify_sampled,
     win_histogram,
@@ -48,6 +50,14 @@ class AlwaysWrong(Strategy):
 
     def guesses_batch(self, colors):
         return [(row + 1) % h for row, h in zip(colors, self.game.hat_tuple)]
+
+
+class NeverRight(AlwaysWrong):
+    """Guesses one above the true color without wrapping, so even a sage
+    of hatness 1 is wrong."""
+
+    def guesses_batch(self, colors):
+        return [row + 1 for row in colors]
 
 
 def without_seconds(report):
@@ -168,8 +178,8 @@ class TestOracleAgreement:
         assert reports[0]["checked"] == 41
 
     def test_shared_cursor_under_contention(self):
-        # More workers than cores and a tiny switch interval: a lost update
-        # of the cursor or the histogram would skip or repeat a block.
+        # More workers than cores and a tiny switch interval: a block merged
+        # twice, skipped or out of order would change the results.
         game, strategy = k5minus_strategy()
         zeros = clique([3, 3, 3, 3])
         results = []
@@ -202,6 +212,18 @@ class TestBoundedSweep:
         assert report.checked == 1
         assert report.counterexample == {v: 0 for v in game.graph.vertices}
 
+    def test_color_space_of_exactly_2_64(self):
+        # The last sage's place value is 2**64, above every index and
+        # outside uint64: its row decodes to zeros.
+        game = clique([2] * 64 + [1])
+        report = verify_exhaustive(game, NeverRight(game), jobs=2)
+        assert report.checked == 1
+        lo = 2 ** 64 - 16
+        colors = _decode_chunk(game, lo, 16)
+        for col in range(16):
+            decoded = {v: int(c) for v, c in zip(game.graph.vertices, colors[:, col])}
+            assert decoded == assignment_at(game, lo + col)
+
     def test_limit_clamped_to_uint64_index_range(self):
         game = clique([2] * 65)
         with pytest.raises(CapacityError) as err:
@@ -220,6 +242,54 @@ class TestBoundedSweep:
             verify_exhaustive(game, clique_strategy(game), limit=limit)
         with pytest.raises(ContractError, match="limit"):
             win_histogram(game, clique_strategy(game), limit=limit)
+
+
+class Recording(Strategy):
+    """Wraps a strategy and records, per block, its thread and the number
+    of threads alive; with ``fail`` set, raises on every block instead."""
+
+    def __init__(self, inner, fail=False):
+        self.game, self.inner, self.fail = inner.game, inner, fail
+        self.threads, self.alive = [], []
+
+    def guesses_batch(self, colors):
+        self.threads.append(threading.get_ident())
+        self.alive.append(threading.active_count())
+        if self.fail:
+            raise RuntimeError("block failed")
+        return self.inner.guesses_batch(colors)
+
+
+class TestInOrderSweep:
+    def test_one_job_runs_in_the_calling_thread(self):
+        game, strategy = k5minus_strategy()
+        recording = Recording(strategy)
+        win_histogram(game, recording, jobs=1, chunk=1000)
+        assert len(recording.threads) == 17
+        assert set(recording.threads) == {threading.get_ident()}
+
+    def test_threads_bounded_by_blocks(self):
+        game, strategy = k5minus_strategy()  # 16464 assignments: three blocks
+        recording = Recording(strategy)
+        before = threading.active_count()
+        win_histogram(game, recording, jobs=8, chunk=16464 // 3)
+        assert len(recording.threads) == 3
+        assert max(recording.alive) <= before + 3
+
+    def test_no_block_started_past_one_window_after_a_counterexample(self):
+        # Index 0 is a counterexample; 1024 blocks of one assignment each.
+        game = clique([2] * 10)
+        recording = Recording(AlwaysWrong(game))
+        report = verify_exhaustive(game, recording, jobs=2, chunk=1)
+        assert report.checked == 1
+        assert len(recording.threads) <= 2 * 2
+
+    def test_raising_block_stops_the_sweep(self):
+        game = clique([2] * 10)
+        recording = Recording(AlwaysWrong(game), fail=True)
+        with pytest.raises(RuntimeError, match="block failed"):
+            win_histogram(game, recording, jobs=2, chunk=1)
+        assert len(recording.threads) <= 2 * 2
 
 
 class TestWinHistogram:
