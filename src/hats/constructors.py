@@ -60,6 +60,8 @@ class ComposedGame:
             raise ContractError("winning composed games must carry a strategy")
         if self.strategy is not None and self.strategy.game != self.game:
             raise ContractError("attached strategy is for a different game")
+        if self.rotation is not None:
+            embedding.validate_rotation(self.game.graph, self.rotation)
 
     @property
     def is_winning(self) -> bool:
@@ -198,20 +200,19 @@ def _glued_parts(g1: Game, g2: Game, a1: str, a2: str, axis_hatness: int):
     return game, left_map, right_map, inv_left, inv_right
 
 
-def _aligned_rotation(game: Game, rotation: Rotation, glue: str) -> Rotation:
+def _largest_face(faces) -> Optional[embedding.Face]:
+    """The first face with the most distinct vertices, then the most darts."""
+    return max(faces, key=lambda f: (len(embedding.face_vertices(f)), len(f)), default=None)
+
+
+def _aligned_rotation(rotation: Rotation, glue: str) -> Rotation:
     """Rotate the cyclic list at ``glue`` so its wrap corner lies on the
-    best face through the vertex; gluing then keeps that face outermost."""
-    best = None
-    for face in embedding.trace_faces(game.graph, rotation):
-        corners = embedding.corner_pairs(face, glue)
-        if not corners:
-            continue
-        score = (len(embedding.face_vertices(face)), len(face))
-        if best is None or score > best[0]:
-            best = (score, corners[0])
-    if best is None:
+    largest face through the vertex; gluing then keeps that face outermost."""
+    face = _largest_face(f for f in embedding.faces(rotation)
+                         if glue in embedding.face_vertices(f))
+    if face is None:
         return rotation
-    return embedding.wrap_align(rotation, glue, best[1])
+    return embedding.wrap_align(rotation, glue, embedding.corner_pairs(face, glue)[0])
 
 
 def _rename_rotation(rotation: Rotation, inverse_map: dict[str, str]) -> Rotation:
@@ -225,8 +226,8 @@ def _glued_rotation(cg1: ComposedGame, cg2: ComposedGame, a1: str, a2: str,
                     inv_left: dict[str, str], inv_right: dict[str, str]) -> Optional[Rotation]:
     if cg1.rotation is None or cg2.rotation is None:
         return None
-    r1 = _aligned_rotation(cg1.game, cg1.rotation, a1)
-    r2 = _aligned_rotation(cg2.game, cg2.rotation, a2)
+    r1 = _aligned_rotation(cg1.rotation, a1)
+    r2 = _aligned_rotation(cg2.rotation, a2)
     return embedding.merge_at_vertex(
         _rename_rotation(r1, inv_left), _rename_rotation(r2, inv_right), inv_left[a1]
     )
@@ -353,7 +354,6 @@ def cone(base: ComposedGame, petals: Sequence[PetalSpec]) -> ComposedGame:
         edges += [(inv[x], inv[y]) for x, y in pg.graph.edges]
         petal_names.append(names)
         attach.append(inv[spec.a_vertex])
-    petal_edges = list(edges)
     base_inv = {bv: attach[i] for i, bv in enumerate(base_vertices)}
     chords = [(base_inv[x], base_inv[y]) for x, y in base.game.graph.edges]
     edges += chords
@@ -377,51 +377,31 @@ def cone(base: ComposedGame, petals: Sequence[PetalSpec]) -> ComposedGame:
             (base.verdict.provenance,) + tuple(s.petal.verdict.provenance for s in petals),
         ),
     )
-    rotation = _cone_rotation(base, petals, game, petal_names, apex, petal_edges, chords)
+    rotation = _cone_rotation(base, petals, game, petal_names, apex, chords)
     return ComposedGame(game, verdict, strategy, rotation)
 
 
-def _choose_petal_face(spec: PetalSpec, prefer: Optional[str]):
+def _choose_petal_face(spec: PetalSpec, wanted: Optional[embedding.Dart]):
     """The face exposed toward the cone's outer region: it must pass both
     the apex and attachment vertices.
 
-    ``prefer`` controls the walk orientation relative to the apex: a
-    petal just before a hugged junction wants its attachment vertex to
-    step directly to the apex ("a-last", dart A->O on the face), the
-    petal just after wants the reverse ("a-first").  Base edges between
+    ``wanted`` is a dart that fixes the walk orientation relative to the
+    apex: a petal just before a hugged junction wants its attachment
+    vertex to step directly to the apex (dart A->O on the face), the
+    petal just after wants the reverse (O->A).  Base edges between
     neighboring petals can then cut off only apex corners, which keeps
-    every other vertex on the merged outer face.  Falls back to the face
-    with the most distinct vertices, then the longest, first traced.
+    every other vertex on the merged outer face.  Among the faces with
+    that dart, or among all candidates when none has it, the largest
+    face wins.
     """
-    rotation = spec.petal.rotation
-    candidates = []
-    for face in embedding.trace_faces(spec.petal.game.graph, rotation):
-        verts = embedding.face_vertices(face)
-        if spec.o_vertex in verts and spec.a_vertex in verts:
-            candidates.append(face)
-    if not candidates:
-        return None
-    if prefer == "a-last":
-        wanted = (spec.a_vertex, spec.o_vertex)
-    elif prefer == "a-first":
-        wanted = (spec.o_vertex, spec.a_vertex)
-    else:
-        wanted = None
-    if wanted is not None:
-        preferred = [f for f in candidates if wanted in f]
-        if preferred:
-            candidates = preferred
-    best = None
-    for face in candidates:
-        score = (len(embedding.face_vertices(face)), len(face))
-        if best is None or score > best[0]:
-            best = (score, face)
-    return best[1]
+    ends = {spec.o_vertex, spec.a_vertex}
+    candidates = [f for f in embedding.faces(spec.petal.rotation)
+                  if ends <= embedding.face_vertices(f)]
+    return _largest_face([f for f in candidates if wanted in f] or candidates)
 
 
 def _cone_rotation(base: ComposedGame, petals: Sequence[PetalSpec], game: Game,
                    petal_names: Sequence[dict[str, str]], apex: str,
-                   petal_edges: Sequence[tuple[str, str]],
                    chords: Sequence[tuple[str, str]]) -> Optional[Rotation]:
     """Compose petal embeddings around the apex and add base edges as chords.
 
@@ -442,21 +422,18 @@ def _cone_rotation(base: ComposedGame, petals: Sequence[PetalSpec], game: Game,
     # Hug one junction per base edge between circle-consecutive petals:
     # the earlier petal exposes its attachment vertex last, the later one
     # first, so that chord cuts off nothing but apex corners.
-    prefer: dict[str, Optional[str]] = {bv: None for bv in base_order}
-    if len(base_order) > 1:
-        for p, bv in enumerate(base_order):
-            succ = base_order[(p + 1) % len(base_order)]
-            if base.game.graph.has_edge(bv, succ):
-                if prefer[bv] is None:
-                    prefer[bv] = "a-last"
-                if prefer[succ] is None:
-                    prefer[succ] = "a-first"
+    wanted: dict[str, embedding.Dart] = {}
+    for bv, succ in zip(base_order, base_order[1:] + base_order[:1]):
+        if base.game.graph.has_edge(bv, succ):
+            before, after = petals[base_index[bv]], petals[base_index[succ]]
+            wanted.setdefault(bv, (before.a_vertex, before.o_vertex))
+            wanted.setdefault(succ, (after.o_vertex, after.a_vertex))
 
     merged: Optional[Rotation] = None
     for bv in base_order:
         i = base_index[bv]
         spec = petals[i]
-        face = _choose_petal_face(spec, prefer[bv])
+        face = _choose_petal_face(spec, wanted.get(bv))
         if face is None:
             return None
         corners = embedding.corner_pairs(face, spec.o_vertex)
@@ -465,11 +442,12 @@ def _cone_rotation(base: ComposedGame, petals: Sequence[PetalSpec], game: Game,
         rot = _rename_rotation(rot, inv)
         merged = rot if merged is None else embedding.merge_at_vertex(merged, rot, apex)
 
-    current = list(petal_edges)
+    # Faces, and so the chords' faces, are chosen in key order; key the
+    # rotation in the game's vertex order before inserting chords.
+    rotation = {v: merged[v] for v in game.graph.vertices}
     for x, y in chords:
-        current.append((x, y))
-        merged = embedding.insert_chord(Graph(game.graph.vertices, current), merged, x, y)
-    return merged
+        rotation = embedding.insert_chord(rotation, x, y)
+    return rotation
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,17 @@ A rotation system assigns each vertex a cyclic order of its incident
 edges.  Tracing faces with the next-edge-in-rotation rule and counting
 them decides whether the rotation describes a sphere embedding
 (V - E + F = 2).  This module *checks* rotations; it does not search for
-embeddings.  Builders are responsible for emitting a rotation along with
-the graphs they construct, and the helpers at the bottom implement the
-two surgeries those builders need: merging rotations at a glued vertex
-and inserting an edge into a face.
+embeddings.
+
+:func:`faces` trusts its input and traces it in key order.  A rotation
+is validated where it enters: the public checks (:func:`trace_faces`,
+:func:`face_trace`, :func:`is_planar_embedding`,
+:func:`is_outerplanar_embedding` and :func:`outer_vertex_order`) validate
+what they are handed, and :class:`~hats.constructors.ComposedGame`
+validates the rotation it carries, which is where every builder reads
+rotations from.  The helpers at the bottom implement the two surgeries
+those builders need: merging rotations at a glued vertex and inserting
+an edge into a face.
 """
 
 from __future__ import annotations
@@ -37,18 +44,18 @@ def validate_rotation(graph: Graph, rotation: Rotation) -> None:
             )
 
 
-def trace_faces(graph: Graph, rotation: Rotation) -> list[Face]:
-    """All face cycles of the combinatorial map, each dart used once."""
-    validate_rotation(graph, rotation)
+def faces(rotation: Rotation) -> list[Face]:
+    """All face cycles of a trusted rotation, each dart used once.
+
+    Darts are visited in key order, so the key order fixes which dart
+    starts each face and the order of the faces.
+    """
     succ: dict[Dart, Dart] = {}
-    for v in graph.vertices:
-        order = tuple(rotation[v])
-        pos = {u: i for i, u in enumerate(order)}
-        for u in order:
-            w = order[(pos[u] + 1) % len(order)]
+    for v, order in rotation.items():
+        for u, w in zip(order, order[1:] + order[:1]):
             succ[(u, v)] = (v, w)
 
-    faces: list[Face] = []
+    traced: list[Face] = []
     visited: set[Dart] = set()
     for start in succ:
         if start in visited:
@@ -59,17 +66,24 @@ def trace_faces(graph: Graph, rotation: Rotation) -> list[Face]:
             visited.add(dart)
             walk.append(dart)
             dart = succ[dart]
-        faces.append(tuple(walk))
-    return faces
+        traced.append(tuple(walk))
+    return traced
+
+
+def trace_faces(graph: Graph, rotation: Rotation) -> list[Face]:
+    """Validate the rotation, then trace its face cycles in vertex order."""
+    validate_rotation(graph, rotation)
+    return faces({v: rotation[v] for v in graph.vertices})
 
 
 def face_trace(graph: Graph, rotation: Rotation) -> int:
     """Number of faces; requires a connected graph."""
     if not graph.is_connected():
         raise StructureError("face tracing requires a connected graph")
-    if len(graph.vertices) == 1 and not graph.edges:
+    traced = trace_faces(graph, rotation)
+    if len(graph.vertices) == 1:
         return 1  # a lone vertex on the sphere has one face
-    return len(trace_faces(graph, rotation))
+    return len(traced)
 
 
 def is_planar_embedding(graph: Graph, rotation: Rotation) -> bool:
@@ -86,15 +100,29 @@ def face_vertices(face: Face) -> set[str]:
 
 def is_outerplanar_embedding(graph: Graph, rotation: Rotation) -> bool:
     """Planar with some face passing through every vertex."""
+    return outer_vertex_order(graph, rotation) is not None
+
+
+def outer_vertex_order(graph: Graph, rotation: Rotation) -> Optional[tuple[str, ...]]:
+    """Vertices in first-occurrence order along the all-vertex face.
+
+    Returns None unless the rotation is an outerplanar embedding.  The
+    order is the circle order used to arrange cone petals so that base
+    edges become non-crossing chords.
+    """
     if not graph.is_connected():
         raise StructureError("outerplanarity check requires a connected graph")
+    traced = trace_faces(graph, rotation)
     v = len(graph.vertices)
-    if v == 1 and not graph.edges:
-        return True
-    faces = trace_faces(graph, rotation)
-    if v - len(graph.edges) + len(faces) != 2:
-        return False
-    return any(len(face_vertices(face)) == v for face in faces)
+    if v == 1:
+        return graph.vertices
+    if v - len(graph.edges) + len(traced) != 2:
+        return None
+    for face in traced:
+        order = tuple(dict.fromkeys(u for u, _ in face))
+        if len(order) == v:
+            return order
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -173,40 +201,11 @@ def insert_edge_in_face(rotation: Rotation, face: Face, x: str, y: str) -> Rotat
     return out
 
 
-def insert_chord(graph_after: Graph, rotation: Rotation, x: str, y: str) -> Rotation:
-    """Insert edge x-y into some common face of the current rotation.
-
-    ``graph_after`` must already contain the edge (it is used for
-    tracing once the rotation is updated); the search itself runs on the
-    rotation as-is, which still lacks x-y.
-    """
-    before = Graph(
-        graph_after.vertices,
-        [e for e in graph_after.edges if set(e) != {x, y}],
-    )
-    for face in trace_faces(before, rotation):
+def insert_chord(rotation: Rotation, x: str, y: str) -> Rotation:
+    """Insert edge x-y into the first traced face of a trusted rotation
+    that passes both endpoints."""
+    for face in faces(rotation):
         verts = face_vertices(face)
         if x in verts and y in verts:
             return insert_edge_in_face(rotation, face, x, y)
     raise StructureError(f"no common face for chord {x!r}-{y!r}")
-
-
-def outer_vertex_order(graph: Graph, rotation: Rotation) -> Optional[tuple[str, ...]]:
-    """Vertices in first-occurrence order along the all-vertex face.
-
-    Returns None unless the rotation is an outerplanar embedding.  The
-    order is the circle order used to arrange cone petals so that base
-    edges become non-crossing chords.
-    """
-    if not is_outerplanar_embedding(graph, rotation):
-        return None
-    if len(graph.vertices) == 1:
-        return graph.vertices
-    for face in trace_faces(graph, rotation):
-        if len(face_vertices(face)) == len(graph.vertices):
-            seen: list[str] = []
-            for u, _ in face:
-                if u not in seen:
-                    seen.append(u)
-            return tuple(seen)
-    return None

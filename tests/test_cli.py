@@ -224,6 +224,18 @@ def test_malformed_game_document_is_usage(tmp_path, capsys, command, text):
 
 
 class TestEmbedCheck:
+    @pytest.mark.parametrize("doc", [
+        {"vertices": [{"name": "a", "hatness": 2}], "edges": [],
+         "rotation": {"a": [], "zz": []}},
+        {**_EDGE, "rotation": {"a": ["b"], "b": []}},
+    ], ids=["lone-vertex-extra-key", "missing-neighbor"])
+    def test_invalid_rotation_is_usage(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "embed-check", str(path))
+        assert (code, out) == (EX_USAGE, "")
+        assert err.startswith("error:")
+
     def test_planar_certificate(self, expr, tmp_path, capsys):
         out = tmp_path / "g.json"
         run(capsys, "build", expr("game26666"), "--out", str(out))

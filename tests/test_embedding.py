@@ -1,10 +1,14 @@
+import hashlib
 import random
 
 import pytest
 
 from hats.constructors import (
+    ComposedGame,
+    PetalSpec,
     clique_game,
     clique_rotation,
+    cone,
     game_26666,
     k5minus,
     planar14,
@@ -12,11 +16,12 @@ from hats.constructors import (
     trefoil,
     windmill,
 )
-from hats.core import Graph, StructureError, complete_graph
+from hats.core import Game, Graph, StructureError, complete_graph, dump_game
 from hats.embedding import (
     face_trace,
     is_outerplanar_embedding,
     is_planar_embedding,
+    outer_vertex_order,
     trace_faces,
     face_vertices,
     validate_rotation,
@@ -38,6 +43,14 @@ class TestValidation:
         g = complete_graph(("a", "b"))
         with pytest.raises(StructureError):
             validate_rotation(g, {"a": ("b", "b"), "b": ("a",)})
+
+    @pytest.mark.parametrize("check", [face_trace, is_planar_embedding,
+                                       is_outerplanar_embedding, outer_vertex_order])
+    def test_lone_vertex_is_validated(self, check):
+        g = Graph(("a",), [])
+        assert check(g, {"a": ()})
+        with pytest.raises(StructureError):
+            check(g, {"a": (), "zz": ()})
 
 
 class TestFaceTrace:
@@ -143,3 +156,67 @@ class TestCompositionPreservesCertificates:
         assert k5.rotation is None
         composed = product(k5, clique_game([2, 2]), "v0", "v0")
         assert composed.rotation is None
+
+
+def _cone_over_26666():
+    return cone(game_26666(), [PetalSpec(clique_game((2, 3, 6)), "v0", "v1")] * 5)
+
+
+class TestCertificateBoundary:
+    """Builders trace their rotations unchecked; ComposedGame is where a
+    rotation is validated, and builders key it in vertex order."""
+
+    @pytest.mark.parametrize("rotation", [
+        {"v0": ("v1",), "v1": ("v0",), "zz": ()},
+        {"v0": ("v1",), "v1": ()},
+    ], ids=["extra-key", "missing-neighbor"])
+    def test_composed_game_validates_rotation(self, rotation):
+        game = Game(complete_graph(("v0", "v1")), {"v0": 2, "v1": 2})
+        cg = clique_game((2, 2))
+        with pytest.raises(StructureError):
+            ComposedGame(game, cg.verdict, cg.strategy, rotation)
+
+    def test_rotations_keyed_in_vertex_order(self, trefoil_composed, planar14_composed):
+        for cg in (trefoil_composed, planar14_composed, windmill(3, 5), _cone_over_26666()):
+            assert list(cg.rotation) == list(cg.game.graph.vertices)
+
+    def test_random_cones_are_certified(self, k5minus_composed, game26666_composed):
+        rng = random.Random(17)
+        bases = [clique_game((2, 2)), clique_game((2, 2, 2)), game26666_composed,
+                 windmill(2, 3)]
+        bricks = [clique_game(h) for h in ((2, 2), (2, 3, 6), (3, 3, 3), (2, 4, 4),
+                                           (4, 4, 4, 4))]
+        bricks.append(k5minus_composed)
+        by_apex_hatness = {}
+        for brick in bricks:
+            graph = brick.game.graph
+            for o in graph.vertices:
+                for a in graph.adjacency[o]:
+                    by_apex_hatness.setdefault(brick.game.h(o), []).append((brick, o, a))
+        for _ in range(40):
+            base = rng.choice(bases)
+            choices = rng.choice(list(by_apex_hatness.values()))
+            specs = [PetalSpec(*rng.choice(choices)) for _ in base.game.graph.vertices]
+            composed = cone(base, specs)
+            assert composed.rotation is not None
+            assert list(composed.rotation) == list(composed.game.graph.vertices)
+            assert is_planar_embedding(composed.game.graph, composed.rotation)
+
+
+class TestCertificateBytes:
+    """The built documents, rotation included, are pinned byte for byte."""
+
+    def test_pinned_digests(self, trefoil_composed, planar14_composed):
+        pinned = [
+            (trefoil_composed,
+             "fb504fa614934bf81a750831b22b4a699691545c3143a33a1c3a2edffd9844c3"),
+            (planar14_composed,
+             "dfb5a21c402d32ae2ec2ee3f155df625a3b59549ef15ddc6c204c4e52c23e79c"),
+            (windmill(3, 5),
+             "2de67bab495f8d2a1ce04ce5dc4846f1dcc8e8da4ab9437168b8e887ea9b39e1"),
+            (_cone_over_26666(),
+             "29cfff1959fa462032fda6b62f65d69f908e89a8944baa80a5e3748b43bb5650"),
+        ]
+        for cg, digest in pinned:
+            text = dump_game(cg.game, cg.rotation)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest

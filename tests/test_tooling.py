@@ -1,6 +1,7 @@
 """The test configuration itself: checks that a misspelt mark cannot
-silently deselect or skip a test, and that the parallel sweep is warning
-free in a fresh interpreter."""
+silently deselect or skip a test, that the parallel sweep is warning
+free in a fresh interpreter, and that a build's output does not depend
+on the interpreter's hash seed."""
 
 import os
 import subprocess
@@ -58,3 +59,18 @@ def test_clean_cli_verify_is_warning_free(tmp_path):
     result = run_dev_mode(tmp_path, "-m", "hats.cli", "verify", "game.expr", "--jobs", "2")
     assert (result.returncode, result.stderr) == (0, "")
     assert '"counterexample": null' in result.stdout
+
+
+def test_build_is_byte_identical_across_hash_seeds(tmp_path):
+    # Set iteration order differs between interpreters with different
+    # hash seeds; the built document must not depend on it.
+    (tmp_path / "game.expr").write_text("planar14")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed)
+        result = subprocess.run([sys.executable, "-m", "hats.cli", "build", "game.expr"],
+                                capture_output=True, text=True, timeout=300, cwd=tmp_path,
+                                env=env)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
