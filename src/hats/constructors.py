@@ -192,6 +192,9 @@ def _glued_parts(g1: Game, g2: Game, a1: str, a2: str, axis_hatness: int):
         right_map[comp] = v
         order.append(comp)
         hatness[comp] = g2.h(v)
+    if len(hatness) != len(order):
+        clash = next(name for name in order if order.count(name) > 1)
+        raise ContractError(f"gluing at {a1!r} names two vertices {clash!r}")
     inv_left = {orig: comp for comp, orig in left_map.items()}
     inv_right = {orig: comp for comp, orig in right_map.items()}
     edges = [(inv_left[x], inv_left[y]) for x, y in g1.graph.edges]

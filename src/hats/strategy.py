@@ -7,14 +7,21 @@ Every strategy exposes two evaluation paths:
   written as directly as possible from the defining arithmetic, scanning
   candidate colors and asserting that the hypothesis set admits exactly
   one.  This is the reference path.
-* ``guesses_batch(colors)`` - numpy arithmetic and table gathers over a
-  batch of assignments (one row per vertex, in vertex order).  This is
-  the path the sweep verifier drives.
+* ``guesses_batch(colors)`` - numpy over a batch of assignments (one row
+  per vertex, in vertex order), the path the sweep verifier drives.  The
+  leaves (clique, trap, table) run their own table gathers.  A composite
+  (product, cone, majorization adapter) compiles its whole tree once, on
+  its first batch call, into a :class:`Program`: one flat form per
+  vertex, gathering over digits of its neighbors' colors, with the
+  leaves' guesses tabulated from their own batch paths.  The verifier
+  takes a composite's rows one at a time, so a sweep holds one row of
+  guesses, not V.
 
 The two paths are implemented independently and the test suite checks
-them against each other exhaustively on small games.  Both are pure
-functions of the neighbors' colors: perturbing a non-neighbor never
-changes a vertex's guess.
+them against each other exhaustively on small games and on random
+compositions.  Both are pure functions of the neighbors' colors:
+perturbing a non-neighbor never changes a vertex's guess, and a compiled
+program that reads a non-neighbor is refused.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -77,6 +84,36 @@ class Strategy:
         assignment.  Returns the V rows of uint64 guesses in that order."""
         raise NotImplementedError
 
+    def _guess_rows(self, colors: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+        """The rows of ``guesses_batch(colors)``.  A composite makes each
+        row when it is asked for, so a caller that is done with every row
+        before the next (the verifier's count) holds one at a time."""
+        return iter(self.guesses_batch(colors))
+
+    def _children(self, digits) -> list | None:
+        """Each child strategy with the digits its rows read; None at a leaf."""
+        return None
+
+    def _form(self, i: int, digits: tuple, tabulated):
+        """Leaf vertex i compiled, given the digit each row reads: this
+        leaf's own batch path on its neighbors' digits, tabulated."""
+        graph = self.game.graph
+        near = {graph.index[u] for u in graph.adjacency[graph.vertices[i]]}
+        return tabulated(Leaf(self, tuple(d if j in near else None for j, d in enumerate(digits)), i))
+
+
+class Composite(Strategy):
+    """A strategy built from others (product, cone, majorization adapter):
+    its batch path is its tree, compiled on the first batch call and never
+    while building."""
+
+    @cached_property
+    def _program(self) -> Program:
+        return Program(self.game, _compile(self))
+
+    def _guess_rows(self, colors: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+        return self._program.rows(colors)
+
 
 def evaluate(strategy: Strategy, assignment: Assignment) -> list[Guess]:
     """One guess per vertex, in vertex order."""
@@ -92,8 +129,9 @@ def _in_interval(t: int, start: int, length: int, modulus: int) -> bool:
     return (t - start) % modulus < length
 
 
-# Most entries in one vertex's table on the clique gather path.  At 2**16,
-# a clique's tables weigh no more than the colors of one default sweep chunk.
+# Most entries in one guess table: a clique vertex's, or a compiled form
+# tabulated over its inputs.  At 2**16, a table weighs no more than one
+# row of a default sweep chunk.
 CLIQUE_TABLE_SPAN = 1 << 16
 
 
@@ -162,6 +200,12 @@ class CliqueArithStrategy(Strategy):
             _interval_guess(np.arange(span, dtype=U) % n, n, c, s, a)
             for span, (c, s, a) in zip(spans, self._params())
         )
+
+    def _form(self, i: int, digits: tuple, tabulated):
+        if self._tables is None:
+            return super()._form(i, digits, tabulated)
+        rows = [j for j in range(len(digits)) if j != i]
+        return Gather(self._tables[i], tuple(digits[j] for j in rows), tuple(self.coefficients[j] for j in rows))
 
     def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
         if self.modulus > 2 ** 63:
@@ -480,7 +524,7 @@ def pattern_indices(game: Game, i: int, colors: Sequence[np.ndarray]) -> np.ndar
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class AdaptedStrategy(Strategy):
+class AdaptedStrategy(Composite):
     """A winning strategy replayed on a game with lower hatness.
 
     Guesses that are no longer legal colors were always wrong for the
@@ -500,10 +544,15 @@ class AdaptedStrategy(Strategy):
         return g if g < self.game.h(v) else 0
 
     def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
-        return [
-            np.where(g < _u(h), g, _u(0))
-            for g, h in zip(self.inner.guesses_batch(colors), self.game.hat_tuple)
-        ]
+        return list(self._guess_rows(colors))
+
+    def _children(self, digits):
+        return [(self.inner, digits)]
+
+    def _join(self, children, parts, tabulated):
+        # A guess is below its own game's hatness, so only lowered rows clamp.
+        return [form if h == top else tabulated(Sum((1,), (form,), h))
+                for form, h, top in zip(parts[0], self.game.hat_tuple, self.inner.game.hat_tuple)]
 
 
 def adapt_majorized(strategy: Strategy, lower: Mapping[str, int]) -> AdaptedStrategy:
@@ -511,6 +560,140 @@ def adapt_majorized(strategy: Strategy, lower: Mapping[str, int]) -> AdaptedStra
     if not majorizes(strategy.game, lower_game):
         raise ContractError("strategy's game does not majorize the lower game")
     return AdaptedStrategy(lower_game, strategy)
+
+
+# ---------------------------------------------------------------------------
+# Compiled programs
+#
+# A digit (row, steps) is a row's color passed through each (div, mod) step,
+# x -> x // div % mod (no remainder where mod is None); (row, ()) is the
+# color itself.  A form maps the values of its digits (small unsigned, or a
+# color's uint64 bits viewed as intp) to one row of uint64 guesses.
+
+
+def _steps(x: np.ndarray, steps) -> np.ndarray:
+    for div, mod in steps:
+        x = x // _u(div) if mod is None else x // _u(div) % _u(mod)
+    return x
+
+
+class Gather:
+    """``table[sum(w * d)]`` over digits d with weights w."""
+
+    def __init__(self, table: np.ndarray, digits: tuple, weights: tuple):
+        self.table, self.digits, self.weights = table, digits, weights
+
+    def __call__(self, values, n: int) -> np.ndarray:
+        key = None if self.digits else np.zeros(n, dtype=np.intp)
+        for d, w in zip(self.digits, self.weights):
+            term = values[d] if w == 1 and key is not None else np.multiply(values[d], w, dtype=np.intp)
+            key = term if key is None else np.add(key, term, out=key)
+        return np.take(self.table, key)
+
+
+class Sum:
+    """``sum(place * part)`` in uint64, then 0 wherever that reaches ``limit``."""
+
+    def __init__(self, places: tuple, parts: tuple, limit: int | None = None):
+        self.places, self.parts, self.limit = places, parts, limit
+        self.digits = tuple(dict.fromkeys(d for f in parts for d in f.digits))
+
+    def __call__(self, values, n: int) -> np.ndarray:
+        total = reduce(np.add, (f(values, n) * _u(p) for p, f in zip(self.places, self.parts)))
+        return total if self.limit is None else np.where(total < _u(self.limit), total, _u(0))
+
+
+class Select:
+    """The choice at the first hit whose form equals its digit, else the first."""
+
+    def __init__(self, hits: tuple, choices: tuple):
+        self.hits, self.choices = hits, choices  # hits: (form, digit) pairs
+        forms = (*(f for f, _ in hits), *choices)
+        self.digits = tuple(dict.fromkeys([*(d for f in forms for d in f.digits), *(d for _, d in hits)]))
+
+    def __call__(self, values, n: int) -> np.ndarray:
+        # The last hit writes first and the first hit last, one choice alive at a time.
+        first = self.choices[0](values, n)
+        out = first.copy()
+        for i in reversed(range(len(self.hits))):
+            (form, d), choice = self.hits[i], first if i == 0 else self.choices[i](values, n)
+            np.copyto(out, choice, where=form(values, n).view(np.intp) == values[d])
+        return out
+
+
+class Leaf:
+    """A leaf vertex as its leaf's own batch path, fed its neighbors'
+    digits and 0 on every other row; kept only where too wide to tabulate."""
+
+    def __init__(self, strategy: Strategy, inputs: tuple, index: int):
+        self.strategy, self.inputs, self.index = strategy, inputs, index  # a digit or None per row
+        self.digits = tuple(d for d in inputs if d is not None)
+
+    def __call__(self, values, n: int) -> np.ndarray:
+        rows = [np.zeros(n, dtype=U) if d is None else values[d].astype(U) for d in self.inputs]
+        return np.asarray(self.strategy.guesses_batch(rows)[self.index], dtype=U)
+
+
+class Program:
+    """A composite strategy as one form per vertex.  Each form reads only
+    its vertex's neighbors, so the program is a local strategy by
+    construction, and each distinct digit is computed once per call (by
+    lookup where its row has at most CLIQUE_TABLE_SPAN colors)."""
+
+    def __init__(self, game: Game, forms: Sequence):
+        graph, hats = game.graph, game.hat_tuple
+        for v, form in zip(graph.vertices, forms):
+            far = {row for row, _ in form.digits} - {graph.index[u] for u in graph.adjacency[v]}
+            if far:
+                raise ContractError(f"the compiled guess at {v!r} reads non-neighbor rows {sorted(far)}")
+        self.forms, self._luts = tuple(forms), {}
+        for row, steps in dict.fromkeys(d for form in forms for d in form.digits):
+            lut = _steps(np.arange(hats[row], dtype=U), steps) if steps and hats[row] <= CLIQUE_TABLE_SPAN else None
+            self._luts[row, steps] = lut if lut is None else lut.astype(np.min_scalar_type(lut.max()))
+
+    def rows(self, colors: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+        """Each vertex's row of guesses, in order, made when it is asked for."""
+        n = len(colors[0])
+        values = {(row, steps): _steps(colors[row].astype(U, copy=False), steps).view(np.intp)
+                  if lut is None else np.take(lut, colors[row]) for (row, steps), lut in self._luts.items()}
+        return (form(values, n) for form in self.forms)
+
+
+def _compile(root: Strategy) -> list:
+    """One form per row of ``root``.  Each node is handed the digits its
+    rows read, top down, and joins its children's forms, bottom up, with
+    every form of at most CLIQUE_TABLE_SPAN input patterns tabulated; an
+    explicit stack compiles trees of any depth."""
+    hats = root.game.hat_tuple
+
+    def span(digit) -> int:
+        row, steps = digit
+        top = hats[row]
+        for div, mod in steps:
+            top = -(-top // div) if mod is None else min(-(-top // div), mod)
+        return top
+
+    def tabulated(form):
+        digits = [d for d in form.digits if span(d) > 1]
+        spans = [span(d) for d in digits]
+        places = [math.prod(spans[:k]) for k in range(len(spans) + 1)]
+        if places[-1] > CLIQUE_TABLE_SPAN:
+            return form
+        values = dict.fromkeys(form.digits, np.zeros(places[-1], dtype=np.intp))
+        values.update(zip(digits, np.indices(spans[::-1]).reshape(len(spans), places[-1])[::-1]))
+        return Gather(np.asarray(form(values, places[-1]), dtype=U), tuple(digits), tuple(places[:-1]))
+
+    todo, done = [(root, tuple((row, ()) for row in range(len(hats))), None)], []
+    while todo:
+        node, digits, children = todo.pop()
+        if children is not None:
+            done.append(node._join(children, [done.pop() for _ in children][::-1], tabulated))
+        elif (children := node._children(digits)) is not None:
+            todo.append((node, digits, children))
+            todo.extend((child, d, None) for child, d in reversed(children))
+        else:
+            done.append([node._form(i, digits, tabulated) for i in range(len(digits))])
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +720,7 @@ def _check_uint64(game: Game, moduli: Sequence[int]) -> None:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class ProductStrategy(Strategy):
+class ProductStrategy(Composite):
     """Strategy for two winning games glued at one vertex.
 
     The glued vertex's color encodes a pair: the left factor reads
@@ -588,24 +771,27 @@ class ProductStrategy(Strategy):
         )
 
     def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
+        return list(self._guess_rows(colors))
+
+    def _children(self, digits):
         (left_rows, la), (right_rows, ra) = self._rows
-        h1 = _u(self.left.game.hat_tuple[la])
-        axis = left_rows[la]
-        lc = [colors[r] for r in left_rows]
-        rc = [colors[r] for r in right_rows]
-        rc[ra], lc[la] = divmod(colors[axis].astype(U), h1)
-        lg = self.left.guesses_batch(lc)
-        rg = self.right.guesses_batch(rc)
-        out = [None] * len(colors)
-        for rows, guesses in ((left_rows, lg), (right_rows, rg)):
-            for r, g in zip(rows, guesses):
-                out[r] = g
-        out[axis] = lg[la] + h1 * rg[ra]
+        (row, steps), h1 = digits[left_rows[la]], self.left_axis_hatness
+        left, right = [digits[r] for r in left_rows], [digits[r] for r in right_rows]
+        left[la], right[ra] = (row, (*steps, (1, h1))), (row, (*steps, (h1, None)))
+        return [(self.left, left), (self.right, right)]
+
+    def _join(self, children, parts, tabulated):
+        (left_rows, la), (right_rows, ra) = self._rows
+        out = [None] * len(self.game.hat_tuple)
+        for rows, forms in zip((left_rows, right_rows), parts):
+            for r, form in zip(rows, forms):
+                out[r] = form
+        out[left_rows[la]] = tabulated(Sum((1, self.left_axis_hatness), (parts[0][la], parts[1][ra])))
         return out
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class ConeStrategy(Strategy):
+class ConeStrategy(Composite):
     """Strategy for petal games sharing an apex, wired by a base game.
 
     Attachment vertex i carries a pair (u_i, v_i) = (c_i mod h_i,
@@ -686,29 +872,32 @@ class ConeStrategy(Strategy):
     def _rows(self):
         _check_uint64(self.game, [p.game.h(a) for p, a in zip(self.petals, self.petal_a)])
         return tuple(
-            (*_part_rows(self.game, names, p.game, a, o), _u(p.game.h(a)))
+            (*_part_rows(self.game, names, p.game, a, o), p.game.h(a))
             for p, names, a, o in zip(self.petals, self.petal_names, self.petal_a, self.petal_o)
         )
 
     def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
-        # Split each attachment into (base, petal) parts; base vertex i is petal i's attachment.
-        splits = [divmod(colors[rows[a]].astype(U), h) for rows, a, _, h in self._rows]
-        base_colors = [high for high, _ in splits]
-        base_guesses = self.base.guesses_batch(base_colors)
+        return list(self._guess_rows(colors))
 
-        out = [None] * len(colors)
-        apex_guesses = []
-        for petal, (rows, a, o, h), (_, low), ghat in zip(
-                self.petals, self._rows, splits, base_guesses):
-            pc = [colors[r] for r in rows]
-            pc[a] = low
-            guesses = petal.guesses_batch(pc)
-            for r, g in zip(rows, guesses):
-                out[r] = g
-            out[rows[a]] = guesses[a] + h * ghat
-            apex_guesses.append(guesses[o])
+    def _children(self, digits):
+        # Attachment i splits into its petal part and base vertex i.
+        petals, base = [], []
+        for petal, (rows, a, _, h) in zip(self.petals, self._rows):
+            part, (row, steps) = [digits[r] for r in rows], digits[rows[a]]
+            part[a] = (row, (*steps, (1, h)))
+            petals.append((petal, part))
+            base.append((row, (*steps, (h, None))))
+        return [(self.base, base), *petals]
+
+    def _join(self, children, parts, tabulated):
+        out = [None] * len(self.game.hat_tuple)
+        (base_forms, *petal_forms), base_digits = parts, children[0][1]
+        for forms, (rows, a, o, h), ghat in zip(petal_forms, self._rows, base_forms):
+            for r, form in zip(rows, forms):
+                out[r] = form
+            out[rows[a]] = tabulated(Sum((1, h), (forms[a], ghat)))
         # The first petal whose base guess matched, else petal 0, as the
         # scalar path does.  rows[o] is the apex.
-        hits = [g == c for g, c in zip(base_guesses, base_colors)]
-        out[rows[o]] = np.select(hits, apex_guesses, apex_guesses[0])
+        out[rows[o]] = tabulated(Select(tuple(zip(base_forms, base_digits)),
+                                        tuple(forms[o] for forms in petal_forms)))
         return out

@@ -127,7 +127,7 @@ def _sample_block(game: Game, seed: int, lo: int, size: int) -> np.ndarray:
 
 def _correct_counts(strategy: Strategy, colors: np.ndarray) -> np.ndarray:
     counts = np.zeros(colors.shape[1], dtype=np.int32)
-    for guess, color in zip(strategy.guesses_batch(colors), colors):
+    for guess, color in zip(strategy._guess_rows(colors), colors):
         counts += guess == color
     return counts
 

@@ -333,6 +333,14 @@ def test_unreadable_input_is_usage(tmp_path, capsys, command, kind):
     assert err.startswith("error:")
 
 
+def test_glue_name_collision_is_usage(expr, capsys):
+    text = 'product(product(clique[2,2]@v0, clique[2,2]@v0)@"R/v1", clique[2,2]@v0)'
+    code, out, err = run(capsys, "build", expr(text))
+    assert code == EX_USAGE
+    assert out == ""
+    assert err == "error: 1:1: gluing at 'R/v1' names two vertices 'R/v1'\n"
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == EX_USAGE

@@ -67,6 +67,13 @@ class TestProduct:
         with pytest.raises(ContractError, match="winning factors"):
             product(losing, winning, "v0", "v0")
 
+    def test_glue_name_collision_refused(self):
+        # The kept glue name R/v1 would also be the right factor's v1.
+        inner = product(clique_game([2, 2]), clique_game([2, 2]), "v0", "v0")
+        assert inner.game.graph.vertices == ("v0", "L/v1", "R/v1")
+        with pytest.raises(ContractError, match="names two vertices 'R/v1'"):
+            product(inner, clique_game([2, 2]), "R/v1", "v0")
+
     def test_hatness_one_axis(self):
         g = clique_game([1, 3])
         composed = product(g, g, "v0", "v0")

@@ -21,11 +21,14 @@ from hats.strategy import (
     AdaptedStrategy,
     CliqueArithStrategy,
     ConeStrategy,
+    Gather,
     Guess,
     K5_HATNESS,
     K5_VERTICES,
     K5MinusTrapStrategy,
+    Leaf,
     ProductStrategy,
+    Program,
     TableStrategy,
     TrapRow,
     TrapTable,
@@ -476,6 +479,135 @@ class TestCompositeScalarBatchAgreement:
                 assert scalar[v] == int(batch[game.graph.index[v]][row]), (row, v)
 
 
+def random_composition(rng, depth=3):
+    """A random winning build: products, cones and lowerings over cliques,
+    game26666 and k5minus, with a composite node at the top."""
+    from hats.constructors import (PetalSpec, clique_game, cone, game_26666, k5minus,
+                                   lower_to, product)
+
+    bricks = [lambda: clique_game(h) for h in ([2, 2], [2, 3, 6], [2, 4, 4], [3, 3, 3], [1, 2])]
+    bricks += [game_26666, k5minus]
+
+    def build(level):
+        if level == depth or (level and rng.random() < 0.3):
+            return rng.choice(bricks)()
+        op = rng.choice(["product", "cone", "lower"])
+        first = build(level + 1)
+        if op == "lower":
+            verts = rng.sample(first.game.graph.vertices, min(3, len(first.game.graph.vertices)))
+            return lower_to(first, {v: rng.randint(1, first.game.h(v)) for v in verts})
+        if op == "cone":
+            base = clique_game(rng.choice([[2, 2], [1], [2, 2, 2], [2, 3, 6]]))
+            o, a = rng.choice(first.game.graph.edges)[::rng.choice([1, -1])]
+            return cone(base, [PetalSpec(first, o, a)] * len(base.game.graph.vertices))
+        second = build(level + 1)
+        a1 = rng.choice(first.game.graph.vertices)
+        a2 = rng.choice(second.game.graph.vertices)
+        try:
+            return product(first, second, a1, a2)
+        except ContractError as exc:
+            if "names two vertices" not in str(exc):
+                raise
+            return first  # the glue name clashes with a right-factor name
+
+    return build(0)
+
+
+class TestCompiledAgainstScalar:
+    """The batch path evaluates a program compiled from the strategy tree;
+    every compiled row must equal the scalar reference path."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_compositions(self, seed):
+        strategy = random_composition(random.Random(seed)).strategy
+        game = strategy.game
+        colors = random_colors(game, np.random.default_rng(seed), 40)
+        rows = strategy.guesses_batch(colors)
+        for col in range(colors.shape[1]):
+            assignment = {v: int(colors[i, col]) for i, v in enumerate(game.graph.vertices)}
+            for i, v in enumerate(game.graph.vertices):
+                assert strategy.guess(v, assignment) == int(rows[i][col]), (seed, col, v)
+
+    def test_compositions_cover_every_composite_kind(self):
+        kinds = {node.kind for seed in range(24)
+                 for node in strategy_nodes(random_composition(random.Random(seed)).strategy)}
+        assert {"product", "cone", "majorize-adapter", "clique-arith", "k5minus-trap"} <= kinds
+
+    def test_deepest_product_chain(self):
+        # windmill(2, 63): 63 K2s glued at v0 (hatness 2**63), then lowered to 2.
+        from hats.constructors import windmill
+
+        lowered = windmill(2, 63).strategy
+        for strategy in (lowered, lowered.inner):
+            game = strategy.game
+            colors = random_colors(game, np.random.default_rng(63), 16)
+            rows = strategy.guesses_batch(colors)
+            for col in range(colors.shape[1]):
+                assignment = {v: int(colors[i, col]) for i, v in enumerate(game.graph.vertices)}
+                scalar = strategy.guesses(assignment)
+                for i, v in enumerate(game.graph.vertices):
+                    assert scalar[v] == int(rows[i][col]), (col, v)
+
+    def test_wide_leaf_vertex_runs_the_leaf_batch_path(self):
+        # clique[2,2,70000]: v0 sees 140,000 patterns and its checksum span
+        # is 105,000, both past CLIQUE_TABLE_SPAN, so no table holds it.
+        composed = elaborated("product(clique[2,2,70000]@v0, clique[2,2]@v0)")
+        strategy, game = composed.strategy, composed.game
+        assert any(isinstance(form, Leaf) for form in strategy._program.forms)
+        colors = random_colors(game, np.random.default_rng(7), 6)
+        rows = strategy.guesses_batch(colors)
+        for col in range(colors.shape[1]):
+            assignment = {v: int(colors[i, col]) for i, v in enumerate(game.graph.vertices)}
+            for i, v in enumerate(game.graph.vertices):
+                assert strategy.guess(v, assignment) == int(rows[i][col]), (col, v)
+
+    def test_apex_falls_back_to_the_first_petal(self):
+        # A winning base always has a hit; one that guesses 0 everywhere
+        # misses on (1, 1), and the apex must then play petal 0 as the
+        # scalar path does.
+        import dataclasses
+
+        from hats.constructors import PetalSpec, clique_game, cone
+
+        composed = cone(clique_game([2, 2]), [PetalSpec(clique_game([2, 3, 6]), "v0", "v1")] * 2)
+        base = composed.strategy.base.game
+        zeros = TableStrategy(base, {v: (0, 0) for v in base.graph.vertices})
+        assert_paths_agree(dataclasses.replace(composed.strategy, base=zeros))
+
+    def test_rows_still_held_are_not_reused(self, trefoil_composed):
+        # Every call returns rows of its own: a later call never writes
+        # into rows that a caller still holds.
+        strategy = trefoil_composed.strategy
+        rng = np.random.default_rng(11)
+        rows = strategy.guesses_batch(random_colors(strategy.game, rng, 64))
+        kept = [row.copy() for row in rows]
+        one = rows[5]
+        strategy.guesses_batch(random_colors(strategy.game, rng, 64))
+        for row, copy in zip(rows, kept):
+            np.testing.assert_array_equal(row, copy)
+        del rows
+        strategy.guesses_batch(random_colors(strategy.game, rng, 64))
+        np.testing.assert_array_equal(one, kept[5])
+
+    def test_rows_one_at_a_time_match_the_batch(self, trefoil_composed):
+        # The verifier counts a composite's rows as they are made.
+        strategy = trefoil_composed.strategy
+        colors = random_colors(strategy.game, np.random.default_rng(12), 64)
+        rows = strategy._guess_rows(colors)
+        assert not isinstance(rows, list)
+        for row, batch in zip(rows, strategy.guesses_batch(colors), strict=True):
+            np.testing.assert_array_equal(row, batch)
+
+    def test_form_reading_a_non_neighbor_refused(self):
+        # A path a - b - c: a copying c's color would win more than a local strategy can.
+        game = Game(Graph(("a", "b", "c"), [("a", "b"), ("b", "c")]), {"a": 2, "b": 2, "c": 2})
+        copy = np.arange(2, dtype=np.uint64)
+        zero = Gather(np.zeros(1, dtype=np.uint64), (), ())
+        with pytest.raises(ContractError, match="non-neighbor rows \\[2\\]"):
+            Program(game, (Gather(copy, ((2, ()),), (1,)), zero, zero))
+        Program(game, (Gather(copy, ((1, ()),), (1,)), zero, zero))
+
+
 class TestAdaptMajorized:
     def test_identity_adaptation(self):
         game = clique([2, 4, 4])
@@ -607,6 +739,10 @@ class TestBatchLocality:
 
     def test_planar14(self, planar14_composed):
         self._assert_local(planar14_composed.strategy, 8, n=8)
+
+    @pytest.mark.parametrize("seed", range(0, 24, 3))
+    def test_random_compositions(self, seed):
+        self._assert_local(random_composition(random.Random(seed)).strategy, seed, n=16)
 
     def test_trap_nonadjacent_pair(self):
         _, strategy = k5minus_strategy()

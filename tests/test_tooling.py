@@ -1,8 +1,10 @@
 """The test configuration itself: checks that a misspelt mark cannot
 silently deselect or skip a test, that the parallel sweep is warning
-free in a fresh interpreter, and that a build's output does not depend
-on the interpreter's hash seed."""
+free in a fresh interpreter, that verifying writes nothing to stdout but
+its report, in strict JSON, and that a build's output does not depend on
+the interpreter's hash seed."""
 
+import json
 import os
 import subprocess
 import sys
@@ -54,11 +56,40 @@ def test_early_stopping_sweep_is_warning_free(tmp_path):
     assert (result.returncode, result.stderr) == (0, "")
 
 
+def strict_json(text):
+    """``text`` as one JSON document; NaN and Infinity, which json.dumps
+    writes but JSON does not have, are refused."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_clean_cli_verify_is_warning_free(tmp_path):
     (tmp_path / "game.expr").write_text("game26666")
     result = run_dev_mode(tmp_path, "-m", "hats.cli", "verify", "game.expr", "--jobs", "2")
     assert (result.returncode, result.stderr) == (0, "")
-    assert '"counterexample": null' in result.stdout
+    assert strict_json(result.stdout)["counterexample"] is None
+
+
+def test_verifiers_write_nothing(capfd, trefoil_composed, planar14_composed):
+    # Whatever reads a report from stdout must find nothing else there,
+    # compiling the strategy on the first block included.
+    from hats.strategy import adapt_majorized
+    from hats.verifier import verify_exhaustive, verify_sampled
+
+    game = trefoil_composed.game
+    lowered = adapt_majorized(trefoil_composed.strategy,
+                              {v: 2 if game.h(v) == 6 else game.h(v) for v in game.graph.vertices})
+    capfd.readouterr()
+    reports = [verify_exhaustive(lowered.game, lowered, jobs=2),
+               verify_sampled(lowered.game, lowered, 4096, seed=1, jobs=2),
+               verify_sampled(planar14_composed.game, planar14_composed.strategy, 2048, seed=2,
+                              jobs=2)]
+    assert capfd.readouterr() == ("", "")
+    assert [r.counterexample for r in reports] == [None] * 3
+    for report in reports:
+        assert strict_json(report.dumps()) == report.to_json()
 
 
 def test_build_is_byte_identical_across_hash_seeds(tmp_path):
