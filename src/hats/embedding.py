@@ -77,9 +77,9 @@ def trace_faces(graph: Graph, rotation: Rotation) -> list[Face]:
 
 
 def face_trace(graph: Graph, rotation: Rotation) -> int:
-    """Number of faces; requires a connected graph."""
-    if not graph.is_connected():
-        raise StructureError("face tracing requires a connected graph")
+    """Number of faces; requires a connected graph with a vertex."""
+    if not graph.vertices or not graph.is_connected():
+        raise StructureError("face tracing requires a connected graph with a vertex")
     traced = trace_faces(graph, rotation)
     if len(graph.vertices) == 1:
         return 1  # a lone vertex on the sphere has one face
@@ -110,8 +110,8 @@ def outer_vertex_order(graph: Graph, rotation: Rotation) -> Optional[tuple[str, 
     order is the circle order used to arrange cone petals so that base
     edges become non-crossing chords.
     """
-    if not graph.is_connected():
-        raise StructureError("outerplanarity check requires a connected graph")
+    if not graph.vertices or not graph.is_connected():
+        raise StructureError("outerplanarity check requires a connected graph with a vertex")
     traced = trace_faces(graph, rotation)
     v = len(graph.vertices)
     if v == 1:

@@ -8,13 +8,13 @@ Every strategy exposes two evaluation paths:
   candidate colors and asserting that the hypothesis set admits exactly
   one.  This is the reference path.
 * ``guesses_batch(colors)`` - numpy over a batch of assignments (one row
-  per vertex, in vertex order), the path the sweep verifier drives.  The
-  leaves (clique, trap, table) run their own table gathers.  A composite
-  (product, cone, majorization adapter) compiles its whole tree once, on
-  its first batch call, into a :class:`Program`: one flat form per
+  per vertex, in vertex order).  Every strategy, leaf or composite
+  (product, cone, majorization adapter), compiles once, the first time
+  its rows are asked for, into a :class:`Program`: one flat form per
   vertex, gathering over digits of its neighbors' colors, with the
-  leaves' guesses tabulated from their own batch paths.  The verifier
-  takes a composite's rows one at a time, so a sweep holds one row of
+  leaves' guesses tabulated from their own ``guesses_batch``.  A
+  composite's ``guesses_batch`` runs its program; the sweep verifier
+  takes the program's rows one at a time, so a sweep holds one row of
   guesses, not V.
 
 The two paths are implemented independently and the test suite checks
@@ -84,11 +84,18 @@ class Strategy:
         assignment.  Returns the V rows of uint64 guesses in that order."""
         raise NotImplementedError
 
+    @cached_property
+    def _program(self) -> Program:
+        """This strategy compiled, when its rows are first asked for and
+        never while building."""
+        return Program(self.game, _compile(self))
+
     def _guess_rows(self, colors: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
-        """The rows of ``guesses_batch(colors)``.  A composite makes each
-        row when it is asked for, so a caller that is done with every row
-        before the next (the verifier's count) holds one at a time."""
-        return iter(self.guesses_batch(colors))
+        """The rows of ``guesses_batch(colors)``, from the compiled program.
+        Each row is made when it is asked for, so a caller that is done
+        with every row before the next (the verifier's count) holds one at
+        a time."""
+        return self._program.rows(colors)
 
     def _children(self, digits) -> list | None:
         """Each child strategy with the digits its rows read; None at a leaf."""
@@ -100,19 +107,6 @@ class Strategy:
         graph = self.game.graph
         near = {graph.index[u] for u in graph.adjacency[graph.vertices[i]]}
         return tabulated(Leaf(self, tuple(d if j in near else None for j, d in enumerate(digits)), i))
-
-
-class Composite(Strategy):
-    """A strategy built from others (product, cone, majorization adapter):
-    its batch path is its tree, compiled on the first batch call and never
-    while building."""
-
-    @cached_property
-    def _program(self) -> Program:
-        return Program(self.game, _compile(self))
-
-    def _guess_rows(self, colors: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
-        return self._program.rows(colors)
 
 
 def evaluate(strategy: Strategy, assignment: Assignment) -> list[Guess]:
@@ -155,13 +149,13 @@ class CliqueArithStrategy(Strategy):
     would land the full checksum inside its interval; whoever's interval
     contains the true checksum is correct.
 
-    The batch path gathers: sage i's unreduced partial checksum
-    sum_{j != i} c_j * x_j lies below span_i = 1 + sum_{j != i} c_j (a_j - 1),
-    so a table of span_i guesses, built once per instance, answers it with
-    one ``np.take`` and no division.  When some span_i exceeds
-    CLIQUE_TABLE_SPAN entries the batch path falls back to uint64
-    modular arithmetic, exact up to N = 2**63 (larger moduli raise
-    CapacityError on either path).
+    The batch path is uint64 modular arithmetic, exact up to N = 2**63
+    (larger moduli raise CapacityError).  Compiled, a sage gathers
+    instead: sage i's unreduced partial checksum sum_{j != i} c_j * x_j
+    lies below span_i = 1 + sum_{j != i} c_j (a_j - 1), so a table of
+    span_i guesses, built once per instance, answers it with one
+    ``np.take`` and no division.  When some span_i exceeds
+    CLIQUE_TABLE_SPAN entries, each sage compiles from the batch path.
     """
 
     game: Game
@@ -214,17 +208,6 @@ class CliqueArithStrategy(Strategy):
                 "exact up to 2**63",
                 self.modulus,
             )
-        if self._tables is None:
-            return self._arith_batch(colors)
-        return self._gather_batch(colors)
-
-    def _gather_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
-        terms = [np.multiply(row, c, dtype=np.intp, casting="unsafe")
-                 for row, c in zip(colors, self.coefficients)]
-        total = reduce(np.add, terms)
-        return [np.take(table, total - term) for table, term in zip(self._tables, terms)]
-
-    def _arith_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
         n = _u(self.modulus)
         terms = [(row.astype(U) * _u(c)) % n for row, c in zip(colors, self.coefficients)]
         total = reduce(lambda acc, term: (acc + term) % n, terms)
@@ -524,7 +507,7 @@ def pattern_indices(game: Game, i: int, colors: Sequence[np.ndarray]) -> np.ndar
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class AdaptedStrategy(Composite):
+class AdaptedStrategy(Strategy):
     """A winning strategy replayed on a game with lower hatness.
 
     Guesses that are no longer legal colors were always wrong for the
@@ -635,7 +618,7 @@ class Leaf:
 
 
 class Program:
-    """A composite strategy as one form per vertex.  Each form reads only
+    """A strategy as one form per vertex.  Each form reads only
     its vertex's neighbors, so the program is a local strategy by
     construction, and each distinct digit is computed once per call (by
     lookup where its row has at most CLIQUE_TABLE_SPAN colors)."""
@@ -720,7 +703,7 @@ def _check_uint64(game: Game, moduli: Sequence[int]) -> None:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class ProductStrategy(Composite):
+class ProductStrategy(Strategy):
     """Strategy for two winning games glued at one vertex.
 
     The glued vertex's color encodes a pair: the left factor reads
@@ -791,7 +774,7 @@ class ProductStrategy(Composite):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class ConeStrategy(Composite):
+class ConeStrategy(Strategy):
     """Strategy for petal games sharing an apex, wired by a base game.
 
     Attachment vertex i carries a pair (u_i, v_i) = (c_i mod h_i,

@@ -101,7 +101,9 @@ def _decode_chunk(game: Game, lo: int, size: int) -> np.ndarray:
     for row, h in zip(colors, game.hat_tuple):
         if place >= lo + size:  # above every index, and may be 2**64: rows stay 0
             break
-        np.remainder(idx // np.uint64(place), np.uint64(h), out=row)
+        np.floor_divide(idx, np.uint64(place), out=row)
+        if place * h < lo + size:  # else every digit is below h, which may be 2**64
+            np.remainder(row, np.uint64(h), out=row)
         place *= h
     return colors
 

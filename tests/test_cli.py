@@ -95,6 +95,14 @@ class TestVerify:
         assert out == ""
         assert "too large" in err
 
+    def test_exhaustive_hatness_of_2_64_is_unknown(self, expr, capsys):
+        # Its color space of 2**64 decodes; the clique modulus is refused.
+        code, out, err = run(capsys, "verify", expr("clique[18446744073709551616, 1]"),
+                             "--jobs", "1")
+        assert code == EX_UNKNOWN
+        assert out == ""
+        assert err.startswith("error:") and "too large" in err
+
     def test_sampled_composite_beyond_2_64_is_unknown(self, expr, capsys):
         # The hub's product node has hatness 2**65; its batch path would
         # encode guesses past uint64, so it refuses before sampling.
@@ -228,7 +236,8 @@ class TestEmbedCheck:
         {"vertices": [{"name": "a", "hatness": 2}], "edges": [],
          "rotation": {"a": [], "zz": []}},
         {**_EDGE, "rotation": {"a": ["b"], "b": []}},
-    ], ids=["lone-vertex-extra-key", "missing-neighbor"])
+        {"vertices": [], "edges": [], "rotation": {}},
+    ], ids=["lone-vertex-extra-key", "missing-neighbor", "no-vertices"])
     def test_invalid_rotation_is_usage(self, tmp_path, capsys, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

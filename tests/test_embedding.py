@@ -72,6 +72,13 @@ class TestFaceTrace:
         with pytest.raises(StructureError):
             face_trace(g, {"a": (), "b": ()})
 
+    @pytest.mark.parametrize("check", [face_trace, outer_vertex_order])
+    def test_no_vertices_rejected(self, check):
+        # Euler's formula reads V - E + F = 1 here, a failed certificate
+        # the document cannot mean: refused like a disconnected graph.
+        with pytest.raises(StructureError):
+            check(Graph((), []), {})
+
     def test_face_lengths_sum_to_twice_edges(self):
         rng = random.Random(3)
         for _ in range(30):

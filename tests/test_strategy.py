@@ -29,6 +29,7 @@ from hats.strategy import (
     Leaf,
     ProductStrategy,
     Program,
+    Strategy,
     TableStrategy,
     TrapRow,
     TrapTable,
@@ -181,15 +182,15 @@ def strategy_nodes(strategy):
 
 
 def both_clique_paths(game, colors, monkeypatch):
-    """The gather rows and the uint64 arithmetic rows of the clique
-    strategy on ``colors``; the gather tables are built under a span
-    bound raised far enough to admit them."""
-    arith = clique_strategy(game)._arith_batch(colors)
+    """The compiled gather rows and the uint64 arithmetic rows of the
+    clique strategy on ``colors``; the gather tables are built under a
+    span bound raised far enough to admit them."""
+    arith = clique_strategy(game).guesses_batch(colors)
     with monkeypatch.context() as patch:
         patch.setattr(strategy_module, "CLIQUE_TABLE_SPAN", 1 << 20)
         gathering = clique_strategy(game)
         assert gathering._tables is not None
-        gather = gathering._gather_batch(colors)
+        gather = list(gathering._guess_rows(colors))
     return gather, arith
 
 
@@ -201,8 +202,8 @@ def assert_same_rows(got, want):
 
 
 class TestCliqueBatchPaths:
-    """The gather path (spans up to CLIQUE_TABLE_SPAN) and the uint64
-    arithmetic path above it must give the same rows, and both must
+    """The compiled gather path (spans up to CLIQUE_TABLE_SPAN) and the
+    uint64 arithmetic batch path must give the same rows, and both must
     agree with the scalar reference."""
 
     # [1, k] has largest span k (at v0); [2, 2, m], m odd, has 3m - 1.
@@ -269,6 +270,31 @@ def _dtype_cases():
         "k5minus-trap": lambda: k5minus_strategy()[1],
         "table": lambda: TableStrategy(clique([2, 3]), {"v0": (0, 1, 0), "v1": (1, 2)}),
     }
+
+
+def test_every_kind_defines_its_own_batch_path():
+    # perfbench/tracing.py finds the kinds it traces by walking Strategy's
+    # subclasses for a guesses_batch in the class body; a kind that only
+    # inherited one would drop out of the per-layer metrics.
+    found, todo = set(), [Strategy]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if "guesses_batch" in vars(sub):
+                found.add(sub.kind)
+    kinds = {"clique-arith", "k5minus-trap", "table", "majorize-adapter", "product", "cone"}
+    assert set(_dtype_cases()) == kinds
+    assert kinds <= found
+
+
+@pytest.mark.parametrize("kind", ["clique-arith", "k5minus-trap", "table"])
+def test_narrow_leaf_compiles_to_gathers(kind):
+    # Every row of a narrow standalone leaf compiles to one table gather
+    # (a clique row over its partial checksum), equal to its batch path.
+    strategy = _dtype_cases()[kind]()
+    assert all(type(form) is Gather for form in strategy._program.forms)
+    colors = random_colors(strategy.game, np.random.default_rng(3), 97)
+    assert_same_rows(list(strategy._guess_rows(colors)), strategy.guesses_batch(colors))
 
 
 @pytest.mark.parametrize("kind", sorted(_dtype_cases()))
@@ -550,16 +576,19 @@ class TestCompiledAgainstScalar:
 
     def test_wide_leaf_vertex_runs_the_leaf_batch_path(self):
         # clique[2,2,70000]: v0 sees 140,000 patterns and its checksum span
-        # is 105,000, both past CLIQUE_TABLE_SPAN, so no table holds it.
-        composed = elaborated("product(clique[2,2,70000]@v0, clique[2,2]@v0)")
-        strategy, game = composed.strategy, composed.game
-        assert any(isinstance(form, Leaf) for form in strategy._program.forms)
-        colors = random_colors(game, np.random.default_rng(7), 6)
-        rows = strategy.guesses_batch(colors)
-        for col in range(colors.shape[1]):
-            assignment = {v: int(colors[i, col]) for i, v in enumerate(game.graph.vertices)}
-            for i, v in enumerate(game.graph.vertices):
-                assert strategy.guess(v, assignment) == int(rows[i][col]), (col, v)
+        # is 105,000, both past CLIQUE_TABLE_SPAN, so no table holds it,
+        # inside a composite or standalone.
+        for text in ("product(clique[2,2,70000]@v0, clique[2,2]@v0)", "clique[2,2,70000]"):
+            composed = elaborated(text)
+            strategy, game = composed.strategy, composed.game
+            assert any(isinstance(form, Leaf) for form in strategy._program.forms)
+            colors = random_colors(game, np.random.default_rng(7), 6)
+            rows = strategy.guesses_batch(colors)
+            assert_same_rows(list(strategy._guess_rows(colors)), rows)
+            for col in range(colors.shape[1]):
+                assignment = {v: int(colors[i, col]) for i, v in enumerate(game.graph.vertices)}
+                for i, v in enumerate(game.graph.vertices):
+                    assert strategy.guess(v, assignment) == int(rows[i][col]), (col, v)
 
     def test_apex_falls_back_to_the_first_petal(self):
         # A winning base always has a hit; one that guesses 0 everywhere

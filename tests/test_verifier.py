@@ -48,7 +48,7 @@ class AlwaysWrong(Strategy):
     def __init__(self, game):
         self.game = game
 
-    def guesses_batch(self, colors):
+    def _guess_rows(self, colors):
         return [(row + 1) % h for row, h in zip(colors, self.game.hat_tuple)]
 
 
@@ -56,7 +56,7 @@ class NeverRight(AlwaysWrong):
     """Guesses one above the true color without wrapping, so even a sage
     of hatness 1 is wrong."""
 
-    def guesses_batch(self, colors):
+    def _guess_rows(self, colors):
         return [row + 1 for row in colors]
 
 
@@ -213,16 +213,18 @@ class TestBoundedSweep:
         assert report.counterexample == {v: 0 for v in game.graph.vertices}
 
     def test_color_space_of_exactly_2_64(self):
-        # The last sage's place value is 2**64, above every index and
-        # outside uint64: its row decodes to zeros.
-        game = clique([2] * 64 + [1])
-        report = verify_exhaustive(game, NeverRight(game), jobs=2)
-        assert report.checked == 1
-        lo = 2 ** 64 - 16
-        colors = _decode_chunk(game, lo, 16)
-        for col in range(16):
-            decoded = {v: int(c) for v, c in zip(game.graph.vertices, colors[:, col])}
-            assert decoded == assignment_at(game, lo + col)
+        # In the first game, the last sage's place value is 2**64, above
+        # every index and outside uint64: its row decodes to zeros.  In the
+        # second, a hatness of 2**64 (outside uint64) is above every digit.
+        for hats in ([2] * 64 + [1], [1, 2 ** 64]):
+            game = clique(hats)
+            report = verify_exhaustive(game, NeverRight(game), jobs=2)
+            assert report.checked == 1
+            lo = 2 ** 64 - 16
+            colors = _decode_chunk(game, lo, 16)
+            for col in range(16):
+                decoded = {v: int(c) for v, c in zip(game.graph.vertices, colors[:, col])}
+                assert decoded == assignment_at(game, lo + col)
 
     def test_limit_clamped_to_uint64_index_range(self):
         game = clique([2] * 65)
@@ -252,12 +254,12 @@ class Recording(Strategy):
         self.game, self.inner, self.fail = inner.game, inner, fail
         self.threads, self.alive = [], []
 
-    def guesses_batch(self, colors):
+    def _guess_rows(self, colors):
         self.threads.append(threading.get_ident())
         self.alive.append(threading.active_count())
         if self.fail:
             raise RuntimeError("block failed")
-        return self.inner.guesses_batch(colors)
+        return self.inner._guess_rows(colors)
 
 
 class TestInOrderSweep:
