@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 from . import embedding
 from .core import (
+    CapacityError,
     ContractError,
     Game,
     Graph,
@@ -175,32 +176,25 @@ def _check_gluing_vertices(g1: Game, g2: Game, a1: str, a2: str) -> None:
 
 
 def _glued_parts(g1: Game, g2: Game, a1: str, a2: str, axis_hatness: int):
-    """Vertex maps, glued graph and hatness for a checked one-vertex gluing."""
-    left_map: dict[str, str] = {}
-    order: list[str] = []
-    hatness: dict[str, int] = {}
-    for v in g1.graph.vertices:
-        comp = v if v == a1 else f"L/{v}"
-        left_map[comp] = v
-        order.append(comp)
-        hatness[comp] = axis_hatness if v == a1 else g1.h(v)
-    right_map: dict[str, str] = {a1: a2}
+    """Glued game, each factor's rows in it (in the factor's vertex order)
+    and each factor's renaming, for a checked one-vertex gluing."""
+    order = [v if v == a1 else f"L/{v}" for v in g1.graph.vertices]
+    hats = [axis_hatness if v == a1 else g1.h(v) for v in g1.graph.vertices]
+    right_rows = []
     for v in g2.graph.vertices:
-        if v == a2:
-            continue
-        comp = f"R/{v}"
-        right_map[comp] = v
-        order.append(comp)
-        hatness[comp] = g2.h(v)
-    if len(hatness) != len(order):
+        right_rows.append(g1.graph.index[a1] if v == a2 else len(order))
+        if v != a2:
+            order.append(f"R/{v}")
+            hats.append(g2.h(v))
+    if len(set(order)) != len(order):
         clash = next(name for name in order if order.count(name) > 1)
         raise ContractError(f"gluing at {a1!r} names two vertices {clash!r}")
-    inv_left = {orig: comp for comp, orig in left_map.items()}
-    inv_right = {orig: comp for comp, orig in right_map.items()}
+    inv_left = dict(zip(g1.graph.vertices, order))
+    inv_right = {v: order[r] for v, r in zip(g2.graph.vertices, right_rows)}
     edges = [(inv_left[x], inv_left[y]) for x, y in g1.graph.edges]
     edges += [(inv_right[x], inv_right[y]) for x, y in g2.graph.edges]
-    game = Game(Graph(order, edges), hatness)
-    return game, left_map, right_map, inv_left, inv_right
+    game = Game(Graph(order, edges), dict(zip(order, hats)))
+    return game, tuple(range(len(g1.graph.vertices))), tuple(right_rows), inv_left, inv_right
 
 
 def _largest_face(faces) -> Optional[embedding.Face]:
@@ -250,10 +244,10 @@ def product(cg1: ComposedGame, cg2: ComposedGame, a1: str, a2: str) -> ComposedG
         raise ContractError("product requires winning factors")
     _check_gluing_vertices(cg1.game, cg2.game, a1, a2)
     axis_hatness = cg1.game.h(a1) * cg2.game.h(a2)
-    game, left_map, right_map, inv_left, inv_right = _glued_parts(
+    game, left_rows, right_rows, inv_left, inv_right = _glued_parts(
         cg1.game, cg2.game, a1, a2, axis_hatness
     )
-    strategy = ProductStrategy(game, a1, cg1.strategy, cg2.strategy, left_map, right_map)
+    strategy = ProductStrategy(game, cg1.strategy, cg2.strategy, left_rows, right_rows)
     verdict = Verdict(
         WINNING,
         Provenance(
@@ -339,38 +333,34 @@ def cone(base: ComposedGame, petals: Sequence[PetalSpec]) -> ComposedGame:
     order: list[str] = [apex]
     hatness: dict[str, int] = {apex: apex_hatness}
     edges: list[tuple[str, str]] = []
-    petal_names: list[dict[str, str]] = []
-    attach: list[str] = []
+    petal_rows: list[tuple[int, ...]] = []
+    renames: list[dict[str, str]] = []  # petal name -> composed name, per petal
     for i, spec in enumerate(petals):
         pg = spec.petal.game
-        names = {}
+        rows = []
         for v in pg.graph.vertices:
-            comp = apex if v == spec.o_vertex else f"{i}/{v}"
-            names[comp] = v
-            if v != spec.o_vertex:
-                order.append(comp)
-                if v == spec.a_vertex:
-                    hatness[comp] = pg.h(v) * base.game.h(base_vertices[i])
-                else:
-                    hatness[comp] = pg.h(v)
-        inv = {orig: comp for comp, orig in names.items()}
+            if v == spec.o_vertex:
+                rows.append(0)
+                continue
+            rows.append(len(order))
+            order.append(f"{i}/{v}")
+            hatness[order[-1]] = pg.h(v) * (base.game.h(base_vertices[i]) if v == spec.a_vertex else 1)
+        inv = {v: order[r] for v, r in zip(pg.graph.vertices, rows)}
         edges += [(inv[x], inv[y]) for x, y in pg.graph.edges]
-        petal_names.append(names)
-        attach.append(inv[spec.a_vertex])
-    base_inv = {bv: attach[i] for i, bv in enumerate(base_vertices)}
+        petal_rows.append(tuple(rows))
+        renames.append(inv)
+    base_inv = {bv: inv[spec.a_vertex] for bv, inv, spec in zip(base_vertices, renames, petals)}
     chords = [(base_inv[x], base_inv[y]) for x, y in base.game.graph.edges]
     edges += chords
 
     game = Game(Graph(order, edges), hatness)
     strategy = ConeStrategy(
         game,
-        apex,
         base.strategy,
         tuple(spec.petal.strategy for spec in petals),
-        tuple(petal_names),
-        tuple(spec.o_vertex for spec in petals),
-        tuple(spec.a_vertex for spec in petals),
-        tuple(attach),
+        tuple(petal_rows),
+        tuple(spec.petal.game.graph.index[spec.o_vertex] for spec in petals),
+        tuple(spec.petal.game.graph.index[spec.a_vertex] for spec in petals),
     )
     verdict = Verdict(
         WINNING,
@@ -380,7 +370,7 @@ def cone(base: ComposedGame, petals: Sequence[PetalSpec]) -> ComposedGame:
             (base.verdict.provenance,) + tuple(s.petal.verdict.provenance for s in petals),
         ),
     )
-    rotation = _cone_rotation(base, petals, game, petal_names, apex, chords)
+    rotation = _cone_rotation(base, petals, game, renames, apex, chords)
     return ComposedGame(game, verdict, strategy, rotation)
 
 
@@ -404,7 +394,7 @@ def _choose_petal_face(spec: PetalSpec, wanted: Optional[embedding.Dart]):
 
 
 def _cone_rotation(base: ComposedGame, petals: Sequence[PetalSpec], game: Game,
-                   petal_names: Sequence[dict[str, str]], apex: str,
+                   renames: Sequence[dict[str, str]], apex: str,
                    chords: Sequence[tuple[str, str]]) -> Optional[Rotation]:
     """Compose petal embeddings around the apex and add base edges as chords.
 
@@ -441,8 +431,7 @@ def _cone_rotation(base: ComposedGame, petals: Sequence[PetalSpec], game: Game,
             return None
         corners = embedding.corner_pairs(face, spec.o_vertex)
         rot = embedding.wrap_align(spec.petal.rotation, spec.o_vertex, corners[0])
-        inv = {orig: comp for comp, orig in petal_names[i].items()}
-        rot = _rename_rotation(rot, inv)
+        rot = _rename_rotation(rot, renames[i])
         merged = rot if merged is None else embedding.merge_at_vertex(merged, rot, apex)
 
     # Faces, and so the chords' faces, are chosen in key order; key the
@@ -457,6 +446,11 @@ def _cone_rotation(base: ComposedGame, petals: Sequence[PetalSpec], game: Game,
 # Named constructions
 
 
+# Most vertices, and most edges, a windmill may have; building windmill(2, n)
+# takes time and memory about as n**2, since composed names grow with nesting.
+MAX_WINDMILL_SIZE = 2048
+
+
 def windmill(k: int, n: int) -> ComposedGame:
     """n copies of K_k glued at an axis, at constant hatness 2k-2.
 
@@ -464,11 +458,17 @@ def windmill(k: int, n: int) -> ComposedGame:
     elsewhere (the reciprocal sum is exactly 1).  The product makes the
     axis hatness 2^n; once that reaches 2k-2 the whole game is lowered to
     the constant game.  For smaller n the raw product is returned.
+    Raises CapacityError, before building anything, when the windmill
+    would have more than MAX_WINDMILL_SIZE vertices or edges.
     """
     if k < 2:
         raise ContractError("windmill needs k >= 2")
     if n < 1:
         raise ContractError("windmill needs n >= 1")
+    size = max(1 + n * (k - 1), n * k * (k - 1) // 2)
+    if size > MAX_WINDMILL_SIZE:
+        raise CapacityError(f"windmill({k}, {n}) is too large to build: at most "
+                            f"{MAX_WINDMILL_SIZE} vertices and edges", size)
     rest = 2 * k - 2
     factor = clique_game((2,) + (rest,) * (k - 1))
     result = factor

@@ -11,8 +11,9 @@ Every strategy exposes two evaluation paths:
   per vertex, in vertex order).  Every strategy, leaf or composite
   (product, cone, majorization adapter), compiles once, the first time
   its rows are asked for, into a :class:`Program`: one flat form per
-  vertex, gathering over digits of its neighbors' colors, with the
-  leaves' guesses tabulated from their own ``guesses_batch``.  A
+  vertex, gathering over digits of its neighbors' colors, with each
+  leaf vertex's guesses tabulated from its own row of the leaf's batch
+  path (a vertex too wide to tabulate runs that row instead).  A
   composite's ``guesses_batch`` runs its program; the sweep verifier
   takes the program's rows one at a time, so a sweep holds one row of
   guesses, not V.
@@ -84,6 +85,10 @@ class Strategy:
         assignment.  Returns the V rows of uint64 guesses in that order."""
         raise NotImplementedError
 
+    def _row(self, i: int, colors: Sequence[np.ndarray]) -> np.ndarray:
+        """Row i of ``guesses_batch(colors)``."""
+        return self.guesses_batch(colors)[i]
+
     @cached_property
     def _program(self) -> Program:
         """This strategy compiled, when its rows are first asked for and
@@ -103,7 +108,7 @@ class Strategy:
 
     def _form(self, i: int, digits: tuple, tabulated):
         """Leaf vertex i compiled, given the digit each row reads: this
-        leaf's own batch path on its neighbors' digits, tabulated."""
+        leaf's own row i on its neighbors' digits, tabulated."""
         graph = self.game.graph
         near = {graph.index[u] for u in graph.adjacency[graph.vertices[i]]}
         return tabulated(Leaf(self, tuple(d if j in near else None for j, d in enumerate(digits)), i))
@@ -155,7 +160,8 @@ class CliqueArithStrategy(Strategy):
     lies below span_i = 1 + sum_{j != i} c_j (a_j - 1), so a table of
     span_i guesses, built once per instance, answers it with one
     ``np.take`` and no division.  When some span_i exceeds
-    CLIQUE_TABLE_SPAN entries, each sage compiles from the batch path.
+    CLIQUE_TABLE_SPAN entries, each sage runs its own row of the
+    arithmetic instead.
     """
 
     game: Game
@@ -178,9 +184,6 @@ class CliqueArithStrategy(Strategy):
             raise ContractError(f"interval at {v!r} matched {len(candidates)} colors, expected 1")
         return candidates[0]
 
-    def _params(self):
-        return zip(self.coefficients, self.starts, self.game.hat_tuple)
-
     @cached_property
     def _tables(self) -> tuple[np.ndarray, ...] | None:
         """Per vertex, its uint64 guess for every unreduced partial
@@ -192,7 +195,7 @@ class CliqueArithStrategy(Strategy):
         n = _u(self.modulus)
         return tuple(
             _interval_guess(np.arange(span, dtype=U) % n, n, c, s, a)
-            for span, (c, s, a) in zip(spans, self._params())
+            for span, c, s, a in zip(spans, self.coefficients, self.starts, self.game.hat_tuple)
         )
 
     def _form(self, i: int, digits: tuple, tabulated):
@@ -201,18 +204,25 @@ class CliqueArithStrategy(Strategy):
         rows = [j for j in range(len(digits)) if j != i]
         return Gather(self._tables[i], tuple(digits[j] for j in rows), tuple(self.coefficients[j] for j in rows))
 
-    def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
+    def _row(self, i: int, colors: Sequence[np.ndarray]) -> np.ndarray:
         if self.modulus > 2 ** 63:
             raise CapacityError(
                 f"clique modulus {self.modulus} is too large for batch evaluation: "
                 "exact up to 2**63",
                 self.modulus,
             )
-        n = _u(self.modulus)
-        terms = [(row.astype(U) * _u(c)) % n for row, c in zip(colors, self.coefficients)]
-        total = reduce(lambda acc, term: (acc + term) % n, terms)
-        return [_interval_guess((total + n - term) % n, n, c, s, a)
-                for term, (c, s, a) in zip(terms, self._params())]
+        # Terms c_j * x_j are below N; reduce only where the next could wrap.
+        n, partial, top = _u(self.modulus), np.zeros(len(colors[i]), dtype=U), 0
+        for j, (row, c, a) in enumerate(zip(colors, self.coefficients, self.game.hat_tuple)):
+            if j != i:
+                if top + c * (a - 1) >= 2 ** 64:
+                    partial, top = partial % n, self.modulus - 1
+                partial += np.asarray(row, dtype=U) * _u(c)
+                top += c * (a - 1)
+        return _interval_guess(partial % n, n, self.coefficients[i], self.starts[i], self.game.hat_tuple[i])
+
+    def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
+        return [self._row(i, colors) for i in range(len(colors))]
 
 
 def clique_strategy(game: Game) -> CliqueArithStrategy:
@@ -605,8 +615,9 @@ class Select:
 
 
 class Leaf:
-    """A leaf vertex as its leaf's own batch path, fed its neighbors'
-    digits and 0 on every other row; kept only where too wide to tabulate."""
+    """A leaf vertex as its leaf's own row (``Strategy._row``), fed its
+    neighbors' digits and 0 on every other row; kept only where too wide
+    to tabulate."""
 
     def __init__(self, strategy: Strategy, inputs: tuple, index: int):
         self.strategy, self.inputs, self.index = strategy, inputs, index  # a digit or None per row
@@ -614,7 +625,7 @@ class Leaf:
 
     def __call__(self, values, n: int) -> np.ndarray:
         rows = [np.zeros(n, dtype=U) if d is None else values[d].astype(U) for d in self.inputs]
-        return np.asarray(self.strategy.guesses_batch(rows)[self.index], dtype=U)
+        return np.asarray(self.strategy._row(self.index, rows), dtype=U)
 
 
 class Program:
@@ -683,11 +694,13 @@ def _compile(root: Strategy) -> list:
 # Composite strategies (built by the constructors module)
 
 
-def _part_rows(game: Game, names: Mapping[str, str], part: Game, *at: str):
-    """The rows in ``game`` of ``part``'s vertices, in ``part``'s order, via
-    ``names`` (game name -> part name), then the positions of ``at``."""
-    rows = {orig: game.graph.index[comp] for comp, orig in names.items()}
-    return (tuple(rows[v] for v in part.graph.vertices), *(part.graph.index[v] for v in at))
+def _view(part: Strategy, rows: Sequence[int], colors: Sequence[int], at: int, color: int) -> Assignment:
+    """``part``'s assignment: each of its vertices reads the color of its
+    row in ``colors``, except the one at position ``at``, which reads
+    ``color``."""
+    view = {v: colors[r] for v, r in zip(part.game.graph.vertices, rows)}
+    view[part.game.graph.vertices[at]] = color
+    return view
 
 
 def _check_uint64(game: Game, moduli: Sequence[int]) -> None:
@@ -713,63 +726,52 @@ class ProductStrategy(Strategy):
     sub-guesses.  If neither side produced a correct guess elsewhere,
     both sides' guarantees force their sub-guesses at the gluing to be
     correct, and then the encoded pair is exactly the glued color.
+
+    Each factor is addressed by the rows of its vertices in ``game``, in
+    the factor's own vertex order; the glued row is the only row in both.
     """
 
     game: Game
-    axis: str
     left: Strategy
     right: Strategy
-    left_names: Mapping[str, str]   # composed name -> left-factor name
-    right_names: Mapping[str, str]  # composed name -> right-factor name
+    left_rows: tuple[int, ...]   # row of each left-factor vertex
+    right_rows: tuple[int, ...]  # row of each right-factor vertex
     kind = "product"
 
-    @property
-    def left_axis_hatness(self) -> int:
-        return self.left.game.h(self.left_names[self.axis])
-
-    def _split_scalar(self, assignment: Assignment):
-        h1 = self.left_axis_hatness
-        la = {orig: assignment[comp] for comp, orig in self.left_names.items()}
-        ra = {orig: assignment[comp] for comp, orig in self.right_names.items()}
-        la[self.left_names[self.axis]] = assignment[self.axis] % h1
-        ra[self.right_names[self.axis]] = assignment[self.axis] // h1
-        return la, ra
+    @cached_property
+    def _axis(self) -> tuple[int, int, int]:
+        """The glued vertex's position in each factor, and h1."""
+        (row,) = set(self.left_rows) & set(self.right_rows)
+        la = self.left_rows.index(row)
+        return la, self.right_rows.index(row), self.left.game.hat_tuple[la]
 
     def guess(self, v: str, assignment: Assignment) -> int:
-        la, ra = self._split_scalar(assignment)
-        if v == self.axis:
-            gl = self.left.guess(self.left_names[v], la)
-            gr = self.right.guess(self.right_names[v], ra)
-            return gl + self.left_axis_hatness * gr
-        if v in self.left_names:
-            return self.left.guess(self.left_names[v], la)
-        return self.right.guess(self.right_names[v], ra)
-
-    @cached_property
-    def _rows(self):
-        _check_uint64(self.game, [self.left_axis_hatness])
-        return tuple(
-            _part_rows(self.game, names, part.game, names[self.axis])
-            for names, part in ((self.left_names, self.left), (self.right_names, self.right))
-        )
+        colors = [assignment[u] for u in self.game.graph.vertices]
+        r, (la, ra, h1) = self.game.graph.index[v], self._axis
+        c = colors[self.left_rows[la]]
+        sides = ((self.left, self.left_rows, la, c % h1), (self.right, self.right_rows, ra, c // h1))
+        guesses = [part.guess(part.game.graph.vertices[rows.index(r)], _view(part, rows, colors, at, color))
+                   for part, rows, at, color in sides if r in rows]
+        return guesses[0] + h1 * guesses[1] if len(guesses) == 2 else guesses[0]
 
     def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
         return list(self._guess_rows(colors))
 
     def _children(self, digits):
-        (left_rows, la), (right_rows, ra) = self._rows
-        (row, steps), h1 = digits[left_rows[la]], self.left_axis_hatness
-        left, right = [digits[r] for r in left_rows], [digits[r] for r in right_rows]
+        la, ra, h1 = self._axis
+        _check_uint64(self.game, [h1])
+        row, steps = digits[self.left_rows[la]]
+        left, right = [digits[r] for r in self.left_rows], [digits[r] for r in self.right_rows]
         left[la], right[ra] = (row, (*steps, (1, h1))), (row, (*steps, (h1, None)))
         return [(self.left, left), (self.right, right)]
 
     def _join(self, children, parts, tabulated):
-        (left_rows, la), (right_rows, ra) = self._rows
+        la, ra, h1 = self._axis
         out = [None] * len(self.game.hat_tuple)
-        for rows, forms in zip((left_rows, right_rows), parts):
+        for rows, forms in zip((self.left_rows, self.right_rows), parts):
             for r, form in zip(rows, forms):
                 out[r] = form
-        out[left_rows[la]] = tabulated(Sum((1, self.left_axis_hatness), (parts[0][la], parts[1][ra])))
+        out[self.left_rows[la]] = tabulated(Sum((1, h1), (parts[0][la], parts[1][ra])))
         return out
 
 
@@ -785,87 +787,49 @@ class ConeStrategy(Strategy):
     whose base guess is correct, and emit that petal's apex guess.  If no
     interior sage and no attachment vertex guessed right, the petal the
     base points at must have been saved by its apex guess.
+
+    Petal i is addressed by the rows of its vertices in ``game``, in the
+    petal's own vertex order; every petal holds the apex row, and its
+    attachment row is base vertex i.
     """
 
     game: Game
-    apex: str
     base: Strategy
     petals: tuple[Strategy, ...]
-    petal_names: tuple[Mapping[str, str], ...]  # composed name -> petal name
-    petal_o: tuple[str, ...]      # petal-local apex name, per petal
-    petal_a: tuple[str, ...]      # petal-local attachment name, per petal
-    attach: tuple[str, ...]       # composed attachment name, per petal
+    petal_rows: tuple[tuple[int, ...], ...]  # row of each petal vertex, per petal
+    petal_o: tuple[int, ...]  # position of the apex in each petal
+    petal_a: tuple[int, ...]  # position of the attachment in each petal
     kind = "cone"
 
-    @cached_property
-    def _attach_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.attach)}
-
-    @cached_property
-    def _owner(self) -> dict[str, int]:
-        owner = {}
-        for i, names in enumerate(self.petal_names):
-            for comp in names:
-                if comp != self.apex:
-                    owner[comp] = i
-        return owner
-
-    def _attach_hatness(self, i: int) -> int:
-        return self.petals[i].game.h(self.petal_a[i])
-
-    def _base_vertex(self, i: int) -> str:
-        return self.base.game.graph.vertices[i]
-
-    def _decode_scalar(self, assignment: Assignment):
-        base_assign = {}
-        u_parts = []
-        for i in range(len(self.petals)):
-            c = assignment[self.attach[i]]
-            h = self._attach_hatness(i)
-            u_parts.append(c % h)
-            base_assign[self._base_vertex(i)] = c // h
-        return u_parts, base_assign
-
-    def _petal_assign(self, i: int, assignment: Assignment, u_i: int) -> Assignment:
-        pa = {orig: assignment[comp] for comp, orig in self.petal_names[i].items()}
-        pa[self.petal_a[i]] = u_i
-        return pa
-
     def guess(self, v: str, assignment: Assignment) -> int:
-        u_parts, base_assign = self._decode_scalar(assignment)
-        if v == self.apex:
-            chosen = 0
-            for i in range(len(self.petals)):
-                if self.base.guess(self._base_vertex(i), base_assign) == base_assign[self._base_vertex(i)]:
-                    chosen = i
-                    break
-            pa = self._petal_assign(chosen, assignment, u_parts[chosen])
-            return self.petals[chosen].guess(self.petal_o[chosen], pa)
-        if v in self._attach_index:
-            i = self._attach_index[v]
-            pa = self._petal_assign(i, assignment, u_parts[i])
-            sub = self.petals[i].guess(self.petal_a[i], pa)
-            ghat = self.base.guess(self._base_vertex(i), base_assign)
-            return sub + self._attach_hatness(i) * ghat
-        i = self._owner[v]
-        pa = self._petal_assign(i, assignment, u_parts[i])
-        return self.petals[i].guess(self.petal_names[i][v], pa)
+        colors = [assignment[u] for u in self.game.graph.vertices]
+        r, base_names = self.game.graph.index[v], self.base.game.graph.vertices
+        hs = [p.game.hat_tuple[a] for p, a in zip(self.petals, self.petal_a)]
+        attach = [colors[rows[a]] for rows, a in zip(self.petal_rows, self.petal_a)]
+        base = {b: c // h for b, c, h in zip(base_names, attach, hs)}
 
-    @cached_property
-    def _rows(self):
-        _check_uint64(self.game, [p.game.h(a) for p, a in zip(self.petals, self.petal_a)])
-        return tuple(
-            (*_part_rows(self.game, names, p.game, a, o), p.game.h(a))
-            for p, names, a, o in zip(self.petals, self.petal_names, self.petal_a, self.petal_o)
-        )
+        def petal_guess(i: int, k: int) -> int:
+            p, rows = self.petals[i], self.petal_rows[i]
+            return p.guess(p.game.graph.vertices[k], _view(p, rows, colors, self.petal_a[i], attach[i] % hs[i]))
+
+        if r == self.petal_rows[0][self.petal_o[0]]:
+            chosen = next((i for i, b in enumerate(base_names) if self.base.guess(b, base) == base[b]), 0)
+            return petal_guess(chosen, self.petal_o[chosen])
+        i = next(i for i, rows in enumerate(self.petal_rows) if r in rows)
+        k = self.petal_rows[i].index(r)
+        if k == self.petal_a[i]:
+            return petal_guess(i, k) + hs[i] * self.base.guess(base_names[i], base)
+        return petal_guess(i, k)
 
     def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
         return list(self._guess_rows(colors))
 
     def _children(self, digits):
         # Attachment i splits into its petal part and base vertex i.
+        hs = [p.game.hat_tuple[a] for p, a in zip(self.petals, self.petal_a)]
+        _check_uint64(self.game, hs)
         petals, base = [], []
-        for petal, (rows, a, _, h) in zip(self.petals, self._rows):
+        for petal, rows, a, h in zip(self.petals, self.petal_rows, self.petal_a, hs):
             part, (row, steps) = [digits[r] for r in rows], digits[rows[a]]
             part[a] = (row, (*steps, (1, h)))
             petals.append((petal, part))
@@ -875,12 +839,12 @@ class ConeStrategy(Strategy):
     def _join(self, children, parts, tabulated):
         out = [None] * len(self.game.hat_tuple)
         (base_forms, *petal_forms), base_digits = parts, children[0][1]
-        for forms, (rows, a, o, h), ghat in zip(petal_forms, self._rows, base_forms):
+        for petal, forms, rows, a, ghat in zip(self.petals, petal_forms, self.petal_rows, self.petal_a, base_forms):
             for r, form in zip(rows, forms):
                 out[r] = form
-            out[rows[a]] = tabulated(Sum((1, h), (forms[a], ghat)))
+            out[rows[a]] = tabulated(Sum((1, petal.game.hat_tuple[a]), (forms[a], ghat)))
         # The first petal whose base guess matched, else petal 0, as the
-        # scalar path does.  rows[o] is the apex.
-        out[rows[o]] = tabulated(Select(tuple(zip(base_forms, base_digits)),
-                                        tuple(forms[o] for forms in petal_forms)))
+        # scalar path does.
+        out[self.petal_rows[0][self.petal_o[0]]] = tabulated(Select(
+            tuple(zip(base_forms, base_digits)), tuple(forms[o] for forms, o in zip(petal_forms, self.petal_o))))
         return out

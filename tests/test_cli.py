@@ -41,6 +41,15 @@ class TestBuild:
         assert '"v0" [label="v0:2"];' in text
         assert '"v0" -- "v1";' in text
 
+    @pytest.mark.parametrize("command", ["build", "info"])
+    @pytest.mark.parametrize("text", ["windmill(1000000000, 2)", "windmill(2, 100000)"])
+    def test_oversized_windmill_is_unknown(self, expr, capsys, command, text):
+        # Refused before anything is built; building either would not end.
+        code, out, err = run(capsys, command, expr(text))
+        assert code == EX_UNKNOWN
+        assert out == ""
+        assert err.startswith("error:") and "too large" in err
+
     def test_dot_escaping_of_composed_names(self):
         from hats.constructors import game_26666
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hats.constructors import (
+    MAX_WINDMILL_SIZE,
     ComposedGame,
     PetalSpec,
     blowup_second_min,
@@ -20,6 +21,7 @@ from hats.constructors import (
     windmill,
 )
 from hats.core import (
+    CapacityError,
     ContractError,
     LOSING,
     PROV_CLIQUE,
@@ -163,6 +165,42 @@ class TestCone:
         assert len(gprime.game.graph.vertices) == 53
 
 
+class TestCompositeRows:
+    """Each factor vertex's row in the composed game holds the name the
+    README documents and the factor's hatness, or the product at the glue
+    or the attachment."""
+
+    @pytest.mark.parametrize("left, right, a1, a2", [
+        (game_26666, lambda: clique_game([2, 3, 6]), "O", "v0"),
+        (lambda: clique_game([2, 3, 6]), game_26666, "v1", "0/v1"),
+    ])
+    def test_product_rows(self, left, right, a1, a2):
+        left, right = left(), right()
+        composed = product(left, right, a1, a2)
+        strategy, vertices, hats = composed.strategy, composed.game.graph.vertices, composed.game.hat_tuple
+        glued = left.game.h(a1) * right.game.h(a2)
+        assert set(strategy.left_rows) & set(strategy.right_rows) == {composed.game.graph.index[a1]}
+        for part, rows, at, prefix in ((left, strategy.left_rows, a1, "L/"),
+                                       (right, strategy.right_rows, a2, "R/")):
+            assert len(rows) == len(part.game.graph.vertices)
+            for v, r in zip(part.game.graph.vertices, rows):
+                assert vertices[r] == (a1 if v == at else prefix + v)
+                assert hats[r] == (glued if v == at else part.game.h(v))
+
+    def test_cone_rows(self):
+        base, petal = clique_game([2, 2]), k5minus()
+        composed = cone(base, [PetalSpec(petal, "A2", "A3")] * 2)
+        strategy, vertices, hats = composed.strategy, composed.game.graph.vertices, composed.game.hat_tuple
+        names = petal.game.graph.vertices
+        assert len(strategy.petal_rows) == 2
+        for i, (rows, o, a) in enumerate(zip(strategy.petal_rows, strategy.petal_o, strategy.petal_a)):
+            assert (names[o], names[a]) == ("A2", "A3")
+            assert len(rows) == len(names)
+            for v, r in zip(names, rows):
+                assert vertices[r] == ("O" if v == "A2" else f"{i}/{v}")
+                assert hats[r] == petal.game.h(v) * (base.game.hat_tuple[i] if v == "A3" else 1)
+
+
 class TestSumLose:
     def test_windmill_upper_bound_composition(self):
         # Losing factor: axis 2, one sage 2k-1, the rest 2k-2 (k = 3).
@@ -222,6 +260,15 @@ class TestWindmill:
     def test_k_below_two_rejected(self):
         with pytest.raises(ContractError):
             windmill(1, 3)
+
+    @pytest.mark.parametrize("k, n", [(10 ** 9, 2), (2, 10 ** 5), (2, MAX_WINDMILL_SIZE), (65, 1)])
+    def test_too_large_refused_before_building(self, k, n):
+        # (2, MAX_WINDMILL_SIZE) has one vertex too many, (65, 1) 2,080 edges.
+        with pytest.raises(CapacityError, match="too large"):
+            windmill(k, n)
+
+    def test_most_edges_admitted(self):
+        assert len(windmill(64, 1).game.graph.edges) == 2016 <= MAX_WINDMILL_SIZE
 
     def test_deep_builds_compare_and_print(self):
         # 1,200 nested products: structural equality or repr of the strategy

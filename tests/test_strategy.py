@@ -603,6 +603,16 @@ class TestCompiledAgainstScalar:
         zeros = TableStrategy(base, {v: (0, 0) for v in base.graph.vertices})
         assert_paths_agree(dataclasses.replace(composed.strategy, base=zeros))
 
+    def test_petals_with_the_apex_at_different_positions(self):
+        # The apex is v0 of the first petal and v1 of the second; each
+        # petal's apex guess must be read at its own position.
+        from hats.constructors import PetalSpec, clique_game, cone
+
+        composed = cone(clique_game([2, 2]), [PetalSpec(clique_game([2, 3, 6]), "v0", "v1"),
+                                              PetalSpec(clique_game([3, 2, 6]), "v1", "v0")])
+        assert composed.strategy.petal_o == (0, 1)
+        assert_paths_agree(composed.strategy)
+
     def test_rows_still_held_are_not_reused(self, trefoil_composed):
         # Every call returns rows of its own: a later call never writes
         # into rows that a caller still holds.

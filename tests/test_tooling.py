@@ -94,14 +94,17 @@ def test_verifiers_write_nothing(capfd, trefoil_composed, planar14_composed):
 
 def test_build_is_byte_identical_across_hash_seeds(tmp_path):
     # Set iteration order differs between interpreters with different
-    # hash seeds; the built document must not depend on it.
-    (tmp_path / "game.expr").write_text("planar14")
-    outputs = []
-    for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed)
-        result = subprocess.run([sys.executable, "-m", "hats.cli", "build", "game.expr"],
-                                capture_output=True, text=True, timeout=300, cwd=tmp_path,
-                                env=env)
-        assert result.returncode == 0, result.stderr
-        outputs.append(result.stdout)
-    assert outputs[0] == outputs[1]
+    # hash seeds; the built document must not depend on it, on either
+    # kind of gluing (products in the windmill, cones in the last).
+    for text in ("planar14", "windmill(3, 5)",
+                 "cone(clique[2, 2]; k5minus@A2/A3, game26666@O/\"0/v1\")"):
+        (tmp_path / "game.expr").write_text(text)
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed)
+            result = subprocess.run([sys.executable, "-m", "hats.cli", "build", "game.expr"],
+                                    capture_output=True, text=True, timeout=300, cwd=tmp_path,
+                                    env=env)
+            assert result.returncode == 0, (text, result.stderr)
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1], text

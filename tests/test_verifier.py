@@ -428,6 +428,29 @@ class TestVerifySampled:
             }
         assert verify_sampled(game, strategy, 2000, seed=0, jobs=1).counterexample is None
 
+    def test_wide_clique_sweeps_row_by_row(self, monkeypatch):
+        # No vertex of this clique fits a table, so each runs its own row of
+        # the arithmetic, never the whole clique's batch path.
+        import numpy as np
+
+        from hats.strategy import CliqueArithStrategy
+
+        game = clique([16, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47])
+        strategy = clique_strategy(game)
+        # Every color at its top: the largest partial checksums.
+        top = [np.array([h - 1], dtype=np.uint64) for h in game.hat_tuple]
+        guesses = strategy.guesses({v: h - 1 for v, h in game.hatness.items()})
+        assert [int(row[0]) for row in strategy.guesses_batch(top)] == list(guesses.values())
+        want = verify_sampled(game, strategy, 4096, seed=3, jobs=1).to_json()
+
+        def whole_batch(self, colors):
+            raise AssertionError("the sweep ran the whole clique's batch path")
+
+        monkeypatch.setattr(CliqueArithStrategy, "guesses_batch", whole_batch)
+        got = verify_sampled(game, clique_strategy(game), 4096, seed=3, jobs=1).to_json()
+        assert want["counterexample"] is None
+        assert {**got, "seconds": 0} == {**want, "seconds": 0}
+
     def test_sample_count_validated(self):
         game = clique([2, 2])
         with pytest.raises(ContractError):
