@@ -6,7 +6,8 @@ Every strategy exposes two evaluation paths:
 * ``guess(v, assignment)`` / ``guesses(assignment)`` - plain Python,
   written as directly as possible from the defining arithmetic, scanning
   candidate colors and asserting that the hypothesis set admits exactly
-  one.  This is the reference path.
+  one.  This is the reference path.  A composite asks for its factors'
+  guesses from one loop, so nesting depth costs no recursion.
 * ``guesses_batch(colors)`` - numpy over a batch of assignments (one row
   per vertex, in vertex order).  Every strategy, leaf or composite
   (product, cone, majorization adapter), compiles once, the first time
@@ -15,8 +16,9 @@ Every strategy exposes two evaluation paths:
   leaf vertex's guesses tabulated from its own row of the leaf's batch
   path (a vertex too wide to tabulate runs that row instead).  A
   composite's ``guesses_batch`` runs its program; the sweep verifier
-  takes the program's rows one at a time, so a sweep holds one row of
-  guesses, not V.
+  hands each block to ``Strategy._correct_counts``, which counts the
+  program's rows one at a time, so a sweep holds one row of guesses,
+  not V.
 
 The two paths are implemented independently and the test suite checks
 them against each other exhaustively on small games and on random
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from importlib import resources
-from typing import Iterator, Mapping, Sequence
+from typing import Generator, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -74,7 +76,27 @@ class Strategy:
         return f"{type(self).__name__}(kind={self.kind!r}, vertices=<{size}>)"
 
     def guess(self, v: str, assignment: Assignment) -> int:
-        raise NotImplementedError
+        """The reference guess at v.  A leaf overrides this; a composite's
+        sub-guesses, at any nesting depth, are asked for by its
+        ``_consult`` and answered in this one loop, with no recursion."""
+        stack, answer = [self._consult(v, assignment)], None
+        while stack:
+            try:
+                part, u, view = stack[-1].send(answer)
+            except StopIteration as done:
+                stack.pop()
+                answer = done.value
+            else:
+                stack.append(part._consult(u, view))
+                answer = None
+        return answer
+
+    def _consult(self, v: str, assignment: Assignment) -> Generator:
+        """The guess at v as a generator that yields (part, vertex, view)
+        for each sub-guess it needs, is sent the answer, and returns the
+        guess.  Composites define it; a leaf asks for nothing."""
+        return self.guess(v, assignment)
+        yield
 
     def guesses(self, assignment: Assignment) -> dict[str, int]:
         return {v: self.guess(v, assignment) for v in self.game.graph.vertices}
@@ -95,12 +117,11 @@ class Strategy:
         never while building."""
         return Program(self.game, _compile(self))
 
-    def _guess_rows(self, colors: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
-        """The rows of ``guesses_batch(colors)``, from the compiled program.
-        Each row is made when it is asked for, so a caller that is done
-        with every row before the next (the verifier's count) holds one at
-        a time."""
-        return self._program.rows(colors)
+    def _correct_counts(self, block) -> np.ndarray:
+        """The sweep verifier's per-block hook: how many vertices guess
+        right in each column of ``block``, counted with the compiled
+        program one row at a time."""
+        return block.count(self._program)
 
     def _children(self, digits) -> list | None:
         """Each child strategy with the digits its rows read; None at a leaf."""
@@ -532,12 +553,12 @@ class AdaptedStrategy(Strategy):
         if self.game.graph.vertices != self.inner.game.graph.vertices:
             raise ContractError("an adapted strategy keeps its inner game's vertex order")
 
-    def guess(self, v: str, assignment: Assignment) -> int:
-        g = self.inner.guess(v, assignment)
+    def _consult(self, v: str, assignment: Assignment) -> Generator:
+        g = yield self.inner, v, assignment
         return g if g < self.game.h(v) else 0
 
     def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
-        return list(self._guess_rows(colors))
+        return list(self._program.rows(colors))
 
     def _children(self, digits):
         return [(self.inner, digits)]
@@ -570,18 +591,29 @@ def _steps(x: np.ndarray, steps) -> np.ndarray:
     return x
 
 
+class Values(dict):
+    """The digits of one batch of n columns, each as forms read it."""
+
+    def key(self, digits: Sequence, weights: Sequence, n: int) -> np.ndarray:
+        """``sum(w * d)`` over digits d with weights w, as intp."""
+        key = None if digits else np.zeros(n, dtype=np.intp)
+        for d, w in zip(digits, weights):
+            term = self[d] if w == 1 and key is not None else np.multiply(self[d], w, dtype=np.intp)
+            key = term if key is None else np.add(key, term, out=key)
+        return key
+
+    def gather(self, form: Gather, n: int) -> np.ndarray:
+        return np.take(form.table, self.key(form.digits, form.weights, n))
+
+
 class Gather:
     """``table[sum(w * d)]`` over digits d with weights w."""
 
     def __init__(self, table: np.ndarray, digits: tuple, weights: tuple):
         self.table, self.digits, self.weights = table, digits, weights
 
-    def __call__(self, values, n: int) -> np.ndarray:
-        key = None if self.digits else np.zeros(n, dtype=np.intp)
-        for d, w in zip(self.digits, self.weights):
-            term = values[d] if w == 1 and key is not None else np.multiply(values[d], w, dtype=np.intp)
-            key = term if key is None else np.add(key, term, out=key)
-        return np.take(self.table, key)
+    def __call__(self, values: Values, n: int) -> np.ndarray:
+        return values.gather(self, n)
 
 
 class Sum:
@@ -645,11 +677,14 @@ class Program:
             lut = _steps(np.arange(hats[row], dtype=U), steps) if steps and hats[row] <= CLIQUE_TABLE_SPAN else None
             self._luts[row, steps] = lut if lut is None else lut.astype(np.min_scalar_type(lut.max()))
 
+    def values(self, colors: Sequence[np.ndarray]) -> Values:
+        """Every digit the forms read, from one row of colors per vertex."""
+        return Values({(row, steps): _steps(colors[row].astype(U, copy=False), steps).view(np.intp)
+                       if lut is None else np.take(lut, colors[row]) for (row, steps), lut in self._luts.items()})
+
     def rows(self, colors: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
         """Each vertex's row of guesses, in order, made when it is asked for."""
-        n = len(colors[0])
-        values = {(row, steps): _steps(colors[row].astype(U, copy=False), steps).view(np.intp)
-                  if lut is None else np.take(lut, colors[row]) for (row, steps), lut in self._luts.items()}
+        values, n = self.values(colors), len(colors[0])
         return (form(values, n) for form in self.forms)
 
 
@@ -673,7 +708,7 @@ def _compile(root: Strategy) -> list:
         places = [math.prod(spans[:k]) for k in range(len(spans) + 1)]
         if places[-1] > CLIQUE_TABLE_SPAN:
             return form
-        values = dict.fromkeys(form.digits, np.zeros(places[-1], dtype=np.intp))
+        values = Values.fromkeys(form.digits, np.zeros(places[-1], dtype=np.intp))
         values.update(zip(digits, np.indices(spans[::-1]).reshape(len(spans), places[-1])[::-1]))
         return Gather(np.asarray(form(values, places[-1]), dtype=U), tuple(digits), tuple(places[:-1]))
 
@@ -694,13 +729,31 @@ def _compile(root: Strategy) -> list:
 # Composite strategies (built by the constructors module)
 
 
-def _view(part: Strategy, rows: Sequence[int], colors: Sequence[int], at: int, color: int) -> Assignment:
-    """``part``'s assignment: each of its vertices reads the color of its
-    row in ``colors``, except the one at position ``at``, which reads
-    ``color``."""
-    view = {v: colors[r] for v, r in zip(part.game.graph.vertices, rows)}
-    view[part.game.graph.vertices[at]] = color
-    return view
+class _View(Mapping):
+    """``part``'s assignment inside a composite's (``outer``): part vertex k
+    reads the composite vertex in row ``rows[k]``, named ``names[rows[k]]``,
+    except the one at position ``at``, which reads ``color``.  A lookup
+    walks nested views by row in a loop, so a deep build costs neither
+    recursion nor a copy per level."""
+
+    def __init__(self, outer: Mapping, names: Sequence[str], part: Strategy, rows: Sequence[int],
+                 at: int, color: int):
+        self.outer, self.names, self.part, self.rows, self.at, self.color = outer, names, part, rows, at, color
+
+    def __getitem__(self, v: str) -> int:
+        # An outer view's positions are this view's composite rows.
+        view, k = self, self.part.game.graph.index[v]
+        while k != view.at:
+            if not isinstance(view.outer, _View):
+                return view.outer[view.names[view.rows[k]]]
+            view, k = view.outer, view.rows[k]
+        return view.color
+
+    def __iter__(self):
+        return iter(self.part.game.graph.vertices)
+
+    def __len__(self) -> int:
+        return len(self.part.game.graph.vertices)
 
 
 def _check_uint64(game: Game, moduli: Sequence[int]) -> None:
@@ -745,17 +798,19 @@ class ProductStrategy(Strategy):
         la = self.left_rows.index(row)
         return la, self.right_rows.index(row), self.left.game.hat_tuple[la]
 
-    def guess(self, v: str, assignment: Assignment) -> int:
-        colors = [assignment[u] for u in self.game.graph.vertices]
-        r, (la, ra, h1) = self.game.graph.index[v], self._axis
-        c = colors[self.left_rows[la]]
-        sides = ((self.left, self.left_rows, la, c % h1), (self.right, self.right_rows, ra, c // h1))
-        guesses = [part.guess(part.game.graph.vertices[rows.index(r)], _view(part, rows, colors, at, color))
-                   for part, rows, at, color in sides if r in rows]
+    def _consult(self, v: str, assignment: Assignment) -> Generator:
+        names, r, (la, ra, h1) = self.game.graph.vertices, self.game.graph.index[v], self._axis
+        c = assignment[names[self.left_rows[la]]]
+        guesses = []
+        for part, rows, at, color in ((self.left, self.left_rows, la, c % h1),
+                                      (self.right, self.right_rows, ra, c // h1)):
+            if r in rows:
+                view = _View(assignment, names, part, rows, at, color)
+                guesses.append((yield part, part.game.graph.vertices[rows.index(r)], view))
         return guesses[0] + h1 * guesses[1] if len(guesses) == 2 else guesses[0]
 
     def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
-        return list(self._guess_rows(colors))
+        return list(self._program.rows(colors))
 
     def _children(self, digits):
         la, ra, h1 = self._axis
@@ -801,28 +856,32 @@ class ConeStrategy(Strategy):
     petal_a: tuple[int, ...]  # position of the attachment in each petal
     kind = "cone"
 
-    def guess(self, v: str, assignment: Assignment) -> int:
-        colors = [assignment[u] for u in self.game.graph.vertices]
-        r, base_names = self.game.graph.index[v], self.base.game.graph.vertices
+    def _consult(self, v: str, assignment: Assignment) -> Generator:
+        names, r, base_names = self.game.graph.vertices, self.game.graph.index[v], self.base.game.graph.vertices
         hs = [p.game.hat_tuple[a] for p, a in zip(self.petals, self.petal_a)]
-        attach = [colors[rows[a]] for rows, a in zip(self.petal_rows, self.petal_a)]
+        attach = [assignment[names[rows[a]]] for rows, a in zip(self.petal_rows, self.petal_a)]
         base = {b: c // h for b, c, h in zip(base_names, attach, hs)}
 
-        def petal_guess(i: int, k: int) -> int:
+        def petal(i: int, k: int) -> tuple:
             p, rows = self.petals[i], self.petal_rows[i]
-            return p.guess(p.game.graph.vertices[k], _view(p, rows, colors, self.petal_a[i], attach[i] % hs[i]))
+            return p, p.game.graph.vertices[k], _View(assignment, names, p, rows, self.petal_a[i], attach[i] % hs[i])
 
         if r == self.petal_rows[0][self.petal_o[0]]:
-            chosen = next((i for i, b in enumerate(base_names) if self.base.guess(b, base) == base[b]), 0)
-            return petal_guess(chosen, self.petal_o[chosen])
+            chosen = 0
+            for i, b in enumerate(base_names):
+                if (yield self.base, b, base) == base[b]:
+                    chosen = i
+                    break
+            return (yield petal(chosen, self.petal_o[chosen]))
         i = next(i for i, rows in enumerate(self.petal_rows) if r in rows)
         k = self.petal_rows[i].index(r)
+        guess = yield petal(i, k)
         if k == self.petal_a[i]:
-            return petal_guess(i, k) + hs[i] * self.base.guess(base_names[i], base)
-        return petal_guess(i, k)
+            return guess + hs[i] * (yield self.base, base_names[i], base)
+        return guess
 
     def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
-        return list(self._guess_rows(colors))
+        return list(self._program.rows(colors))
 
     def _children(self, digits):
         # Attachment i splits into its petal part and base vertex i.

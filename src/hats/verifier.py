@@ -1,16 +1,29 @@
 """Exhaustive and sampled verification that a strategy wins.
 
-One sweep loop serves all three entry points.  Each block of consecutive
-indices gets its colors from a source as one (V, n) uint64 matrix (row i
-for vertex i), pushes them through the strategies' vectorized path and
-returns its histogram of correct counts and lowest counterexample.
-Worker threads run the blocks and the calling thread merges the results
-in block order, so memory stays at one block per worker and the first
-counterexample merged is the lowest-index one; the sweep stops there.
-Exhaustive sources decode assignment indices (mixed radix, first vertex
-least significant) as uint64, so ``limit`` is clamped to 2**64.  The
-report names the lowest-index counterexample, sets ``checked`` to its
-index + 1, and is identical across chunk sizes and job counts.
+One sweep loop serves all three entry points.  A source hands each block
+of consecutive indices to the strategy's per-block hook
+(``Strategy._correct_counts``), which counts the correct guesses in each
+column with its compiled program; the block returns its histogram of
+those counts and its lowest counterexample.  Worker threads run the
+blocks and the calling thread merges the results in block order, so
+memory stays at one block per worker and the first counterexample merged
+is the lowest-index one; the sweep stops there.  The report names the
+lowest-index counterexample, sets ``checked`` to its index + 1, and is
+identical across chunk sizes and job counts.
+
+Exhaustive sources read the assignment index (mixed radix, first vertex
+least significant, so ``limit`` is clamped to 2**64) as periodic rows:
+row i's color at index t is (t // place_i) % h_i, which repeats every
+place_i * h_i indices.  Each row whose period is at most TILE_PERIOD, and
+each digit a program reads of it, is one tile per sweep in the narrowest
+unsigned dtype, one period plus one block long, so a block reads it as a
+slice.  A row with a longer period is built per block from the runs of
+equal quotients t // place_i, with np.repeat.  No tile grows with the
+color space.  The leading rows whose hatnesses multiply to P at most
+HOIST_PERIOD (and at most one block) settle every sage whose own row and
+inputs lie among them, as a function of t mod P; the correct guesses of
+those sages are counted once per sweep, and each block evaluates only the
+rest.  A counterexample is decoded exactly from its index.
 
 Sampled verification draws colors with the Philox counter-based
 generator so reports are reproducible: sample s of vertex i consumes the
@@ -23,26 +36,33 @@ is evidence only, never a proof.
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 import os
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Assignment, CapacityError, ContractError, Game
-from .strategy import Strategy
+from .core import Assignment, CapacityError, ContractError, Game, assignment_at
+from .strategy import Program, Strategy, Values, _steps
 
 DEFAULT_LIMIT = 2 ** 64
 MAX_JOBS = 256
 CHUNK = 1 << 16
 SAMPLE_BLOCK = 1 << 14
 PHILOX_DRAW = 1 << 11  # samples drawn at once: keeps the raw words small next to the colors
+# Longest row period read from a tile, and longest period of the leading
+# rows whose sages are counted once per sweep: a tile stays within one
+# default block plus one block.
+TILE_PERIOD = CHUNK
+HOIST_PERIOD = CHUNK
+MIN_STRETCH = 1 << 10  # shortest mean stretch for which a gather runs once per stretch
 
 
 @dataclass
@@ -94,18 +114,167 @@ def _index_space(game: Game, limit: int, what: str) -> int:
     return total
 
 
+def _narrow(x: np.ndarray) -> np.ndarray:
+    """``x`` in the narrowest unsigned dtype that holds its values."""
+    return x.astype(np.min_scalar_type(int(x.max())), copy=False)
+
+
+def _tally(counts: np.ndarray, rows, values: Values) -> np.ndarray:
+    """Add to ``counts`` the correct guesses of each (form, colors) row."""
+    for form, color in rows:
+        counts += form(values, len(counts)) == color
+    return counts
+
+
+class _Periodic:
+    """The exhaustive index as periodic rows, for one sweep in blocks of at
+    most ``size`` indices.  Tiles are built when a block first reads them
+    and shared by every worker.
+
+    The first ``prefix`` rows repeat with period P = places[prefix].  Every
+    later row is constant across each stretch [q*P, (q+1)*P), so a gather
+    adds its later digits' weighted sum, one number per stretch, to a tile
+    of its prefix digits' weighted sum.
+    """
+
+    def __init__(self, game: Game, size: int):
+        self.game, self.size = game, size
+        self.places = (1, *itertools.accumulate(game.hat_tuple, operator.mul))
+        self.count_dtype = np.min_scalar_type(len(game.hat_tuple))
+        self.prefix = 0
+        while self.prefix < len(game.hat_tuple) and self.places[self.prefix + 1] <= min(HOIST_PERIOD, size):
+            self.prefix += 1
+        self.period = self.places[self.prefix]
+        self._tiles, self._keys, self._hoisted = {}, {}, {}
+
+    def block(self, lo: int, n: int, split: bool = True) -> _Slice:
+        return _Slice(self, lo, n, split)
+
+    def digit(self, digit, lo: int, n: int) -> np.ndarray:
+        """A digit's values at indices lo .. lo + n - 1, narrow unsigned."""
+        row, steps = digit
+        place, h = self.places[row], self.game.hat_tuple[row]
+        if place * h <= TILE_PERIOD:
+            tile = self._tiles.get(digit)
+            if tile is None:
+                lut = _narrow(_steps(np.arange(h, dtype=np.uint64), steps))
+                tile = self._tiles.setdefault(digit, np.resize(np.repeat(lut, place), place * h + self.size))
+            start = lo % (place * h)
+            return tile[start:start + n]
+        # Quotients first .. last, each held for a run of up to ``place`` indices.
+        first, last = lo // place, (lo + n - 1) // place
+        runs = np.arange(last - first + 1, dtype=np.uint64) + np.uint64(first)
+        if last >= h:  # else every quotient is its own color, and h may be 2**64
+            runs %= np.uint64(h)
+        lengths = np.full(len(runs), min(place, n), dtype=np.intp)
+        lengths[0] = min(n, (first + 1) * place - lo)
+        if last > first:
+            lengths[-1] = lo + n - last * place
+        return np.repeat(_narrow(_steps(runs, steps)), lengths)
+
+    def key(self, digits: tuple, weights: tuple) -> np.ndarray:
+        """The weighted sum of prefix digits at every index mod P, tiled to
+        P + size."""
+        tile = self._keys.get((digits, weights))
+        if tile is None:
+            key = self.block(0, self.period, split=False).key(digits, weights, self.period)
+            tile = self._keys.setdefault((digits, weights), np.resize(key, self.period + self.size))
+        return tile
+
+    def hoisted(self, program: Program) -> tuple[Optional[np.ndarray], frozenset]:
+        """The rows of the sages settled by the prefix rows, and their
+        correct guesses at every index mod P, tiled to P + size (None when
+        there are none)."""
+        got = self._hoisted.get(program)
+        if got is None:
+            k = self.prefix
+            rows = frozenset(i for i, form in enumerate(program.forms[:k])
+                             if all(row < k for row, _ in form.digits))
+            tile = None
+            if rows:
+                block = self.block(0, self.period, split=False)
+                counts = _tally(np.zeros(self.period, self.count_dtype),
+                                ((program.forms[i], block.color(i)) for i in sorted(rows)), block)
+                tile = np.resize(counts, self.period + self.size)
+            got = self._hoisted.setdefault(program, (tile, rows))
+        return got
+
+
+class _Slice(Values):
+    """Indices lo .. lo + n - 1 of an exhaustive sweep, as the digits its
+    forms read; each is made when first read.  With ``split``, a gather
+    over a block of long stretches runs once per stretch."""
+
+    def __init__(self, source: _Periodic, lo: int, n: int, split: bool):
+        super().__init__()
+        self.source, self.lo, self.n, self.split = source, lo, n, split
+
+    def __missing__(self, digit) -> np.ndarray:
+        got = self.source.digit(digit, self.lo, self.n)
+        self[digit] = got = got.view(np.intp) if got.dtype == np.uint64 else got
+        return got
+
+    def color(self, i: int) -> np.ndarray:
+        got = self[i, ()]
+        return got.view(np.uint64) if got.dtype == np.intp else got
+
+    @property
+    def colors(self) -> list[np.ndarray]:
+        return [self.color(i) for i in range(len(self.source.game.hat_tuple))]
+
+    def gather(self, form, n: int) -> np.ndarray:
+        source, lo = self.source, self.lo
+        period, k = source.period, source.prefix
+        first, last = lo // period, (lo + n - 1) // period
+        if not self.split or (last - first + 1) * MIN_STRETCH > n:
+            return super().gather(form, n)
+        low = [(d, w) for d, w in zip(form.digits, form.weights) if d[0] < k]
+        high = [(d, w) for d, w in zip(form.digits, form.weights) if d[0] >= k]
+        tile = source.key(*map(tuple, zip(*low))) if low else None
+        out = np.empty(n, form.table.dtype)
+        for q in range(first, last + 1):
+            a, b = max(q * period, lo) - lo, min((q + 1) * period, lo + n) - lo
+            shift = sum(w * int(source.digit(d, lo + a, 1)[0]) for d, w in high)
+            if tile is None:
+                out[a:b] = form.table[shift]
+            else:
+                start = (lo + a) % period
+                np.take(form.table[shift:], tile[start:start + b - a], out=out[a:b])
+        return out
+
+    def count(self, program: Program) -> np.ndarray:
+        tile, hoisted = self.source.hoisted(program)
+        if tile is None:
+            counts = np.zeros(self.n, self.source.count_dtype)
+        else:
+            start = self.lo % self.source.period
+            counts = tile[start:start + self.n].copy()
+        rows = ((form, self.color(i)) for i, form in enumerate(program.forms) if i not in hoisted)
+        return _tally(counts, rows, self)
+
+    def assignment(self, col: int) -> Assignment:
+        return assignment_at(self.source.game, self.lo + col)
+
+
+class _Drawn:
+    """A block of drawn colors: row i of the (V, n) uint64 ``colors`` is
+    vertex i's."""
+
+    def __init__(self, game: Game, colors: np.ndarray):
+        self.game, self.colors, self.n = game, colors, colors.shape[1]
+
+    def count(self, program: Program) -> np.ndarray:
+        counts = np.zeros(self.n, np.min_scalar_type(len(self.colors)))
+        return _tally(counts, zip(program.forms, self.colors), program.values(self.colors))
+
+    def assignment(self, col: int) -> Assignment:
+        return {v: int(c) for v, c in zip(self.game.graph.vertices, self.colors[:, col])}
+
+
 def _decode_chunk(game: Game, lo: int, size: int) -> np.ndarray:
-    idx = np.arange(lo, lo + size, dtype=np.uint64)
-    colors = np.zeros((len(game.hat_tuple), size), dtype=np.uint64)
-    place = 1
-    for row, h in zip(colors, game.hat_tuple):
-        if place >= lo + size:  # above every index, and may be 2**64: rows stay 0
-            break
-        np.floor_divide(idx, np.uint64(place), out=row)
-        if place * h < lo + size:  # else every digit is below h, which may be 2**64
-            np.remainder(row, np.uint64(h), out=row)
-        place *= h
-    return colors
+    """The (V, size) uint64 colors at indices lo .. lo + size - 1, read
+    the way the exhaustive sweep reads them."""
+    return np.array(_Periodic(game, size).block(lo, size).colors, dtype=np.uint64)
 
 
 def _sample_block(game: Game, seed: int, lo: int, size: int) -> np.ndarray:
@@ -125,13 +294,6 @@ def _sample_block(game: Game, seed: int, lo: int, size: int) -> np.ndarray:
         raw = bits.random_raw(2 * part.size).reshape(-1, nverts, 2).transpose(2, 1, 0)
         np.remainder((raw[0] % hats) * carry + raw[1] % hats, hats, out=part)
     return colors
-
-
-def _correct_counts(strategy: Strategy, colors: np.ndarray) -> np.ndarray:
-    counts = np.zeros(colors.shape[1], dtype=np.int32)
-    for guess, color in zip(strategy._guess_rows(colors), colors):
-        counts += guess == color
-    return counts
 
 
 def _in_order(run_block: Callable, starts, workers: int):
@@ -160,7 +322,7 @@ def _sweep(game: Game, strategy: Strategy, source: Callable, total: int, size: i
     and, with ``stop_at_zero``, (index, assignment) of the lowest index
     nobody guesses, where the sweep ends, or None.
 
-    ``source(lo, n)`` gives the (V, n) colors at indices lo .. lo + n - 1.
+    ``source(lo, n)`` gives the block of indices lo .. lo + n - 1.
     """
     if strategy.game != game:
         raise ContractError("strategy was built for a different game")
@@ -170,13 +332,13 @@ def _sweep(game: Game, strategy: Strategy, source: Callable, total: int, size: i
 
     def run_block(lo: int):
         # A call of its own frees the block's arrays before the next draw.
-        colors = source(lo, min(size, total - lo))
-        counts = _correct_counts(strategy, colors)
+        block = source(lo, min(size, total - lo))
+        counts = strategy._correct_counts(block)
         local = np.bincount(counts, minlength=len(verts) + 1)
         zero = None
         if local[0]:
-            row = int(np.argmin(counts))
-            zero = (lo + row, {v: int(c) for v, c in zip(verts, colors[:, row])})
+            col = int(np.argmin(counts))
+            zero = (lo + col, block.assignment(col))
         return local, zero
 
     hist = np.zeros(len(verts) + 1, dtype=np.int64)
@@ -215,7 +377,7 @@ def verify_exhaustive(game: Game, strategy: Strategy, *,
     one, ``checked`` is its index + 1 and ``min_correct`` is 0.
     """
     total = _index_space(game, limit, "exhaustive verification")
-    return _verify("exhaustive", game, strategy, partial(_decode_chunk, game),
+    return _verify("exhaustive", game, strategy, _Periodic(game, min(chunk, total)).block,
                    total, chunk, jobs)
 
 
@@ -239,8 +401,10 @@ def verify_sampled(game: Game, strategy: Strategy, samples: int, seed: int, *,
         raise CapacityError(
             f"hatness {top} is too large for sampling: exact up to 2**32", top
         )
-    return _verify("sampled", game, strategy, partial(_sample_block, game, seed),
-                   samples, SAMPLE_BLOCK, jobs)
+    def source(lo: int, n: int) -> _Drawn:
+        return _Drawn(game, _sample_block(game, seed, lo, n))
+
+    return _verify("sampled", game, strategy, source, samples, SAMPLE_BLOCK, jobs)
 
 
 def win_histogram(game: Game, strategy: Strategy, *,
@@ -252,6 +416,6 @@ def win_histogram(game: Game, strategy: Strategy, *,
     Bucket 0 is empty exactly when the strategy wins.
     """
     total = _index_space(game, limit, "a win histogram")
-    hist, _ = _sweep(game, strategy, partial(_decode_chunk, game), total, chunk, jobs,
-                     stop_at_zero=False)
+    hist, _ = _sweep(game, strategy, _Periodic(game, min(chunk, total)).block, total, chunk,
+                     jobs, stop_at_zero=False)
     return {count: int(freq) for count, freq in enumerate(hist) if freq}

@@ -190,7 +190,7 @@ def both_clique_paths(game, colors, monkeypatch):
         patch.setattr(strategy_module, "CLIQUE_TABLE_SPAN", 1 << 20)
         gathering = clique_strategy(game)
         assert gathering._tables is not None
-        gather = list(gathering._guess_rows(colors))
+        gather = list(gathering._program.rows(colors))
     return gather, arith
 
 
@@ -294,7 +294,7 @@ def test_narrow_leaf_compiles_to_gathers(kind):
     strategy = _dtype_cases()[kind]()
     assert all(type(form) is Gather for form in strategy._program.forms)
     colors = random_colors(strategy.game, np.random.default_rng(3), 97)
-    assert_same_rows(list(strategy._guess_rows(colors)), strategy.guesses_batch(colors))
+    assert_same_rows(list(strategy._program.rows(colors)), strategy.guesses_batch(colors))
 
 
 @pytest.mark.parametrize("kind", sorted(_dtype_cases()))
@@ -584,7 +584,7 @@ class TestCompiledAgainstScalar:
             assert any(isinstance(form, Leaf) for form in strategy._program.forms)
             colors = random_colors(game, np.random.default_rng(7), 6)
             rows = strategy.guesses_batch(colors)
-            assert_same_rows(list(strategy._guess_rows(colors)), rows)
+            assert_same_rows(list(strategy._program.rows(colors)), rows)
             for col in range(colors.shape[1]):
                 assignment = {v: int(colors[i, col]) for i, v in enumerate(game.graph.vertices)}
                 for i, v in enumerate(game.graph.vertices):
@@ -632,7 +632,7 @@ class TestCompiledAgainstScalar:
         # The verifier counts a composite's rows as they are made.
         strategy = trefoil_composed.strategy
         colors = random_colors(strategy.game, np.random.default_rng(12), 64)
-        rows = strategy._guess_rows(colors)
+        rows = strategy._program.rows(colors)
         assert not isinstance(rows, list)
         for row, batch in zip(rows, strategy.guesses_batch(colors), strict=True):
             np.testing.assert_array_equal(row, batch)
@@ -645,6 +645,46 @@ class TestCompiledAgainstScalar:
         with pytest.raises(ContractError, match="non-neighbor rows \\[2\\]"):
             Program(game, (Gather(copy, ((2, ()),), (1,)), zero, zero))
         Program(game, (Gather(copy, ((1, ()),), (1,)), zero, zero))
+
+
+class TestDeepScalarPath:
+    """The scalar reference path answers composites nested far past the
+    interpreter's recursion limit: every sub-guess is asked for in one loop."""
+
+    DEPTH = 500  # product levels: more than a recursive walk fits under the default limit
+
+    def test_evaluate_deep_windmill(self):
+        # The lowered windmill(2, 500) wins, so every assignment has a right
+        # guess; its unlowered axis (hatness 2**500) is past the batch path.
+        from hats.constructors import windmill
+
+        composed = windmill(2, self.DEPTH)
+        game, strategy = composed.game, composed.strategy
+        rng = random.Random(500)
+        for _ in range(2):
+            assignment = {v: rng.randrange(game.h(v)) for v in game.graph.vertices}
+            guesses = evaluate(strategy, assignment)
+            assert [g.vertex for g in guesses] == list(game.graph.vertices)
+            assert all(0 <= g.color < game.h(g.vertex) for g in guesses)
+            assert any(g.color == assignment[g.vertex] for g in guesses)
+
+    def test_deep_chain_against_compiled_rows(self):
+        # 500 K2s glued end to end: hatnesses stay at most 4, so the chain
+        # also compiles, and the first vertex sits 500 products deep.
+        from hats.constructors import clique_game, product
+
+        chain = clique_game([2, 2])
+        for _ in range(self.DEPTH - 1):
+            chain = product(clique_game([2, 2]), chain, "v1", chain.game.graph.vertices[0])
+        game, strategy = chain.game, chain.strategy
+        colors = random_colors(game, np.random.default_rng(500), 3)
+        rows = strategy.guesses_batch(colors)
+        verts = game.graph.vertices
+        picks = {0, 1, len(verts) // 2, len(verts) - 1, *random.Random(5).sample(range(len(verts)), 4)}
+        for col in range(colors.shape[1]):
+            assignment = {v: int(colors[i, col]) for i, v in enumerate(verts)}
+            for i in sorted(picks):
+                assert strategy.guess(verts[i], assignment) == int(rows[i][col]), (col, verts[i][-12:])
 
 
 class TestAdaptMajorized:

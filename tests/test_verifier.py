@@ -1,8 +1,13 @@
 import json
+import math
+import random
 import sys
 import threading
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hats.constructors import game_26666, windmill
 from hats.core import (
@@ -16,10 +21,14 @@ from hats.core import (
 )
 from hats.strategy import Strategy, TableStrategy, clique_strategy, k5minus_strategy
 from hats.verifier import (
+    CHUNK,
     MAX_JOBS,
+    MIN_STRETCH,
     SAMPLE_BLOCK,
+    TILE_PERIOD,
     VerifyReport,
     _decode_chunk,
+    _Periodic,
     verify_exhaustive,
     verify_sampled,
     win_histogram,
@@ -48,15 +57,18 @@ class AlwaysWrong(Strategy):
     def __init__(self, game):
         self.game = game
 
-    def _guess_rows(self, colors):
+    def _guesses(self, colors):
         return [(row + 1) % h for row, h in zip(colors, self.game.hat_tuple)]
+
+    def _correct_counts(self, block):
+        return sum(guess == row for guess, row in zip(self._guesses(block.colors), block.colors))
 
 
 class NeverRight(AlwaysWrong):
     """Guesses one above the true color without wrapping, so even a sage
     of hatness 1 is wrong."""
 
-    def _guess_rows(self, colors):
+    def _guesses(self, colors):
         return [row + 1 for row in colors]
 
 
@@ -226,6 +238,20 @@ class TestBoundedSweep:
                 decoded = {v: int(c) for v, c in zip(game.graph.vertices, colors[:, col])}
                 assert decoded == assignment_at(game, lo + col)
 
+    def test_allocation_bounded_by_one_block(self):
+        # A block holds one narrow row per vertex; no tile may grow with the
+        # 2**64 color space.  One uint64 (V, CHUNK) color matrix would be
+        # twice the bound.
+        game = clique([2] * 64)
+        tracemalloc.start()
+        try:
+            report = verify_exhaustive(game, AlwaysWrong(game), jobs=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.checked == 1
+        assert peak <= 4 * len(game.hat_tuple) * CHUNK
+
     def test_limit_clamped_to_uint64_index_range(self):
         game = clique([2] * 65)
         with pytest.raises(CapacityError) as err:
@@ -246,6 +272,186 @@ class TestBoundedSweep:
             win_histogram(game, clique_strategy(game), limit=limit)
 
 
+@st.composite
+def bounded_hats(draw):
+    """1 to 6 hatnesses with a product of at most 2**64, mixing 1, small
+    ones, ones around 2**16 and one that may fill the index range."""
+    hats = draw(st.lists(st.sampled_from([1, 2, 3, 6, 7, 255, 256, 300, 1 << 16, (1 << 16) + 1]),
+                         min_size=1, max_size=5))
+    while math.prod(hats) > 2 ** 64:
+        hats.pop()
+    top = draw(st.sampled_from([None, 2 ** 40, 2 ** 64 // math.prod(hats)]))
+    if top is not None and top * math.prod(hats) <= 2 ** 64:
+        hats.insert(draw(st.integers(0, len(hats))), top)
+    return hats
+
+
+@st.composite
+def decode_cases(draw):
+    hats = draw(st.one_of(
+        st.just([1, 2 ** 64]),
+        st.just([2] * 64 + [1]),  # the last row's place is 2**64
+        st.just([3, 2 ** 20, 2, 5]),  # periods past TILE_PERIOD
+        bounded_hats(),
+    ))
+    total = math.prod(hats)
+    period = _Periodic(clique(hats), CHUNK).period
+    chunk = draw(st.sampled_from(sorted({1, 7, max(period - 1, 1), period, period + 1, 1 << 16})))
+    lo = draw(st.one_of(st.integers(0, total - 1), st.integers(max(0, total - 40), total - 1)))
+    n = draw(st.integers(1, min(chunk, total - lo, 48)))
+    steps = draw(st.lists(st.tuples(st.integers(1, 7), st.one_of(st.none(), st.integers(1, 7))),
+                          max_size=2))
+    return hats, chunk, lo, n, tuple(steps)
+
+
+class TestPeriodicDecode:
+    """Each row, and each digit a program reads of it, sliced from a tile or
+    repeated from its runs, must equal the exact decode of every index."""
+
+    @given(decode_cases())
+    @example(([1, 2 ** 64], 1 << 16, 2 ** 64 - 16, 16, ((1, 7),)))
+    @example(([2] * 64 + [1], 7, 2 ** 64 - 7, 7, ((2, None),)))
+    def test_colors_and_digits_match_assignment_at(self, case):
+        hats, chunk, lo, n, steps = case
+        game = clique(hats)
+        block = _Periodic(game, chunk).block(lo, n)
+        want = [assignment_at(game, lo + col) for col in range(n)]
+        decoded = _decode_chunk(game, lo, n)
+        for i, v in enumerate(game.graph.vertices):
+            color = block.color(i)
+            assert color.dtype.kind == "u"
+            assert [int(c) for c in color] == [a[v] for a in want]
+            assert [int(c) for c in decoded[i]] == [a[v] for a in want]
+            digit = block[i, steps]
+            if digit.dtype == np.intp:  # a uint64 digit, as a form reads it
+                digit = digit.view(np.uint64)
+            expect = [a[v] for a in want]
+            for div, mod in steps:
+                expect = [x // div if mod is None else x // div % mod for x in expect]
+            assert [int(x) for x in digit] == expect
+
+    def test_tiles_stay_within_a_period_and_a_block(self):
+        game = clique([2] * 64)
+        source = _Periodic(game, CHUNK)
+        for lo in (0, 2 ** 63, 2 ** 64 - CHUNK):
+            block = source.block(lo, CHUNK)
+            assert [len(c) for c in block.colors] == [CHUNK] * 64
+        assert source._tiles and all(len(t) <= TILE_PERIOD + CHUNK for t in source._tiles.values())
+
+
+def _batch_reference(game, strategy, size=CHUNK):
+    """Histogram and lowest zero of the uint64 batch path, decoding every
+    index exactly: independent of tiles, hoisting and stretches."""
+    hist, zero = {}, None
+    for lo in range(0, game.color_space, size):
+        colors = _decode_chunk(game, lo, min(size, game.color_space - lo))
+        counts = sum(g == c for g, c in zip(strategy.guesses_batch(colors), colors))
+        for count, freq in enumerate(np.bincount(counts)):
+            if freq:
+                hist[count] = hist.get(count, 0) + int(freq)
+        if zero is None and (counts == 0).any():
+            zero = lo + int(np.argmin(counts))
+    return hist, zero
+
+
+def _tabulated(strategy):
+    """``strategy`` as a TableStrategy, from its batch path over each
+    vertex's neighbor patterns (every other row at 0)."""
+    game, tables = strategy.game, {}
+    for i, v in enumerate(game.graph.vertices):
+        near = [game.graph.index[u] for u in game.graph.adjacency[v]]
+        spans = [game.hat_tuple[j] for j in near]
+        patterns = np.arange(math.prod(spans), dtype=np.uint64)
+        colors = np.zeros((len(game.hat_tuple), len(patterns)), dtype=np.uint64)
+        for j, h in zip(near, spans):
+            colors[j], patterns = patterns % np.uint64(h), patterns // np.uint64(h)
+        tables[v] = tuple(int(g) for g in strategy.guesses_batch(colors)[i])
+    return TableStrategy(game, tables)
+
+
+def _planted(strategy, hoisted):
+    """``strategy`` tabulated, then wrong at the lowest assignment whose only
+    correct guess came from a hoisted row: only that row could have saved it."""
+    game = strategy.game
+    table = _tabulated(strategy)
+    colors = _decode_chunk(game, 0, game.color_space)
+    correct = np.array([g == c for g, c in zip(strategy.guesses_batch(colors), colors)])
+    lone = [(col, int(np.argmax(correct[:, col]))) for col in np.flatnonzero(correct.sum(axis=0) == 1)]
+    col, row = next((col, row) for col, row in lone if row in hoisted)
+    v = game.graph.vertices[row]
+    assignment = assignment_at(game, int(col))
+    tables = dict(table.tables)
+    cells = list(tables[v])
+    cells[table.pattern_index(v, assignment)] = (assignment[v] + 1) % game.h(v)
+    tables[v] = tuple(cells)
+    return TableStrategy(game, tables), int(col)
+
+
+class TestPeriodicSweep:
+    """Hoisted sages are counted once per sweep from the prefix rows, and a
+    gather over long stretches runs once per stretch; reports and
+    histograms must still equal the oracles for block sizes around P."""
+
+    @staticmethod
+    def _check(game, strategy, reference, chunks):
+        for chunk in chunks:
+            for jobs in (1, 2):
+                report = verify_exhaustive(game, strategy, jobs=jobs, chunk=chunk)
+                if reference.counterexample_index is None:
+                    assert report.counterexample is None
+                    assert report.checked == game.color_space
+                else:
+                    assert report.counterexample == reference.counterexample
+                    assert report.checked == reference.counterexample_index + 1
+                assert report.min_correct == reference.min_correct
+                assert win_histogram(game, strategy, jobs=jobs, chunk=chunk) == reference.histogram
+
+    @pytest.mark.parametrize("seed", [2, 23, 27, 37, 42, 44, 45, 48, 53, 58])
+    def test_random_compositions_match_naive(self, seed):
+        from test_strategy import random_composition
+
+        composed = random_composition(random.Random(seed))
+        game, strategy = composed.game, composed.strategy
+        assert game.color_space <= 3000
+        period = _Periodic(game, 64).period
+        assert _Periodic(game, 64).hoisted(strategy._program)[1]
+        chunks = sorted({max(period - 1, 1), period, period + 1, 7})
+        self._check(game, strategy, naive_verify(game, strategy), chunks)
+
+    def test_planted_counterexample_only_a_hoisted_sage_could_save(self):
+        from hats.dsl import elaborate, parse
+
+        composed = elaborate(parse("product(clique[2,3,6]@v2, clique[2,3,6]@v0)"))
+        game = composed.game
+        source = _Periodic(game, 72)  # P = 2 * 3 * 12
+        hoisted = source.hoisted(composed.strategy._program)[1]
+        assert source.period == 72 and hoisted == {0, 1}
+        planted, index = _planted(composed.strategy, hoisted)
+        reference = naive_verify(game, planted)
+        assert reference.counterexample_index == index
+        self._check(game, planted, reference, (7, 71, 72, 73, 215, 216, 217, 1 << 16))
+
+    def test_stretches_match_the_batch_path(self):
+        # 592,704 assignments, P = 42,336 at the default block: each block
+        # spans two or three stretches, so its gathers run per stretch.
+        from hats.dsl import elaborate, parse
+
+        composed = elaborate(parse("product(clique[2,3,6]@v0, k5minus@A2)"))
+        game = composed.game
+        source = _Periodic(game, CHUNK)
+        hoisted = source.hoisted(composed.strategy._program)[1]
+        assert source.period == 42336 and hoisted == {1, 2, 5}
+        assert 3 * MIN_STRETCH <= CHUNK
+        for strategy in (composed.strategy, _planted(composed.strategy, hoisted)[0]):
+            hist, zero = _batch_reference(game, strategy)
+            for chunk, jobs in ((CHUNK, 1), (CHUNK, 2), (50000, 2), (42337, 1)):
+                report = verify_exhaustive(game, strategy, jobs=jobs, chunk=chunk)
+                assert report.checked == (game.color_space if zero is None else zero + 1)
+                assert report.counterexample == (None if zero is None else assignment_at(game, zero))
+                assert report.min_correct == min(hist)
+                assert win_histogram(game, strategy, jobs=jobs, chunk=chunk) == hist
+
+
 class Recording(Strategy):
     """Wraps a strategy and records, per block, its thread and the number
     of threads alive; with ``fail`` set, raises on every block instead."""
@@ -254,12 +460,12 @@ class Recording(Strategy):
         self.game, self.inner, self.fail = inner.game, inner, fail
         self.threads, self.alive = [], []
 
-    def _guess_rows(self, colors):
+    def _correct_counts(self, block):
         self.threads.append(threading.get_ident())
         self.alive.append(threading.active_count())
         if self.fail:
             raise RuntimeError("block failed")
-        return self.inner._guess_rows(colors)
+        return self.inner._correct_counts(block)
 
 
 class TestInOrderSweep:
