@@ -76,25 +76,12 @@ class Strategy:
         return f"{type(self).__name__}(kind={self.kind!r}, vertices=<{size}>)"
 
     def guess(self, v: str, assignment: Assignment) -> int:
-        """The reference guess at v.  A leaf overrides this; a composite's
-        sub-guesses, at any nesting depth, are asked for by its
-        ``_consult`` and answered in this one loop, with no recursion."""
-        stack, answer = [self._consult(v, assignment)], None
-        while stack:
-            try:
-                part, u, view = stack[-1].send(answer)
-            except StopIteration as done:
-                stack.pop()
-                answer = done.value
-            else:
-                stack.append(part._consult(u, view))
-                answer = None
-        return answer
+        raise NotImplementedError
 
     def _consult(self, v: str, assignment: Assignment) -> Generator:
         """The guess at v as a generator that yields (part, vertex, view)
         for each sub-guess it needs, is sent the answer, and returns the
-        guess.  Composites define it; a leaf asks for nothing."""
+        guess.  A composite defines it; a leaf asks for nothing."""
         return self.guess(v, assignment)
         yield
 
@@ -133,6 +120,26 @@ class Strategy:
         graph = self.game.graph
         near = {graph.index[u] for u in graph.adjacency[graph.vertices[i]]}
         return tabulated(Leaf(self, tuple(d if j in near else None for j, d in enumerate(digits)), i))
+
+
+class _Composite(Strategy):
+    """A strategy built from others (adapter, product, cone).  Its
+    reference guess asks for its parts' guesses through ``_consult``; every
+    sub-guess, at any nesting depth, is answered in one loop, with no
+    recursion."""
+
+    def guess(self, v: str, assignment: Assignment) -> int:
+        stack, answer = [self._consult(v, assignment)], None
+        while stack:
+            try:
+                part, u, view = stack[-1].send(answer)
+            except StopIteration as done:
+                stack.pop()
+                answer = done.value
+            else:
+                stack.append(part._consult(u, view))
+                answer = None
+        return answer
 
 
 def evaluate(strategy: Strategy, assignment: Assignment) -> list[Guess]:
@@ -538,7 +545,7 @@ def pattern_indices(game: Game, i: int, colors: Sequence[np.ndarray]) -> np.ndar
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class AdaptedStrategy(Strategy):
+class AdaptedStrategy(_Composite):
     """A winning strategy replayed on a game with lower hatness.
 
     Guesses that are no longer legal colors were always wrong for the
@@ -591,29 +598,25 @@ def _steps(x: np.ndarray, steps) -> np.ndarray:
     return x
 
 
-class Values(dict):
-    """The digits of one batch of n columns, each as forms read it."""
-
-    def key(self, digits: Sequence, weights: Sequence, n: int) -> np.ndarray:
-        """``sum(w * d)`` over digits d with weights w, as intp."""
-        key = None if digits else np.zeros(n, dtype=np.intp)
-        for d, w in zip(digits, weights):
-            term = self[d] if w == 1 and key is not None else np.multiply(self[d], w, dtype=np.intp)
-            key = term if key is None else np.add(key, term, out=key)
-        return key
-
-    def gather(self, form: Gather, n: int) -> np.ndarray:
-        return np.take(form.table, self.key(form.digits, form.weights, n))
-
-
 class Gather:
-    """``table[sum(w * d)]`` over digits d with weights w."""
+    """``table[sum(w * d)]`` over digits d with weights w.  The key is summed
+    in the narrowest unsigned dtype that holds every index and weight: each
+    term lies below the table's length, so the cast of a digit is exact."""
 
     def __init__(self, table: np.ndarray, digits: tuple, weights: tuple):
         self.table, self.digits, self.weights = table, digits, weights
+        self.key_dtype = np.min_scalar_type(max((len(table), *weights)))
 
-    def __call__(self, values: Values, n: int) -> np.ndarray:
-        return values.gather(self, n)
+    def __call__(self, values, n: int) -> np.ndarray:
+        key = None if self.digits else np.zeros(n, dtype=self.key_dtype)
+        for d, w in zip(self.digits, self.weights):
+            if key is None:
+                key = np.multiply(values[d], w, dtype=self.key_dtype, casting="unsafe")
+            elif w == 1:
+                np.add(key, values[d], out=key, dtype=self.key_dtype, casting="unsafe")
+            else:
+                np.add(key, np.multiply(values[d], w, dtype=self.key_dtype, casting="unsafe"), out=key)
+        return np.take(self.table, key)
 
 
 class Sum:
@@ -677,10 +680,10 @@ class Program:
             lut = _steps(np.arange(hats[row], dtype=U), steps) if steps and hats[row] <= CLIQUE_TABLE_SPAN else None
             self._luts[row, steps] = lut if lut is None else lut.astype(np.min_scalar_type(lut.max()))
 
-    def values(self, colors: Sequence[np.ndarray]) -> Values:
+    def values(self, colors: Sequence[np.ndarray]) -> dict:
         """Every digit the forms read, from one row of colors per vertex."""
-        return Values({(row, steps): _steps(colors[row].astype(U, copy=False), steps).view(np.intp)
-                       if lut is None else np.take(lut, colors[row]) for (row, steps), lut in self._luts.items()})
+        return {(row, steps): _steps(colors[row].astype(U, copy=False), steps).view(np.intp)
+                if lut is None else np.take(lut, colors[row]) for (row, steps), lut in self._luts.items()}
 
     def rows(self, colors: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
         """Each vertex's row of guesses, in order, made when it is asked for."""
@@ -708,7 +711,7 @@ def _compile(root: Strategy) -> list:
         places = [math.prod(spans[:k]) for k in range(len(spans) + 1)]
         if places[-1] > CLIQUE_TABLE_SPAN:
             return form
-        values = Values.fromkeys(form.digits, np.zeros(places[-1], dtype=np.intp))
+        values = dict.fromkeys(form.digits, np.zeros(places[-1], dtype=np.intp))
         values.update(zip(digits, np.indices(spans[::-1]).reshape(len(spans), places[-1])[::-1]))
         return Gather(np.asarray(form(values, places[-1]), dtype=U), tuple(digits), tuple(places[:-1]))
 
@@ -769,7 +772,7 @@ def _check_uint64(game: Game, moduli: Sequence[int]) -> None:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class ProductStrategy(Strategy):
+class ProductStrategy(_Composite):
     """Strategy for two winning games glued at one vertex.
 
     The glued vertex's color encodes a pair: the left factor reads
@@ -831,7 +834,7 @@ class ProductStrategy(Strategy):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class ConeStrategy(Strategy):
+class ConeStrategy(_Composite):
     """Strategy for petal games sharing an apex, wired by a base game.
 
     Attachment vertex i carries a pair (u_i, v_i) = (c_i mod h_i,

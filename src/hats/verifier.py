@@ -20,7 +20,7 @@ unsigned dtype, one period plus one block long, so a block reads it as a
 slice.  A row with a longer period is built per block from the runs of
 equal quotients t // place_i, with np.repeat.  No tile grows with the
 color space.  The leading rows whose hatnesses multiply to P at most
-HOIST_PERIOD (and at most one block) settle every sage whose own row and
+TILE_PERIOD (and at most one block) settle every sage whose own row and
 inputs lie among them, as a function of t mod P; the correct guesses of
 those sages are counted once per sweep, and each block evaluates only the
 rest.  A counterexample is decoded exactly from its index.
@@ -50,19 +50,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import Assignment, CapacityError, ContractError, Game, assignment_at
-from .strategy import Program, Strategy, Values, _steps
+from .strategy import Program, Strategy, _steps
 
 DEFAULT_LIMIT = 2 ** 64
 MAX_JOBS = 256
 CHUNK = 1 << 16
 SAMPLE_BLOCK = 1 << 14
 PHILOX_DRAW = 1 << 11  # samples drawn at once: keeps the raw words small next to the colors
-# Longest row period read from a tile, and longest period of the leading
-# rows whose sages are counted once per sweep: a tile stays within one
-# default block plus one block.
+# Longest period of a row read from a tile, and of the leading rows whose
+# sages are counted once per sweep: a tile stays within one default block
+# plus one block.
 TILE_PERIOD = CHUNK
-HOIST_PERIOD = CHUNK
-MIN_STRETCH = 1 << 10  # shortest mean stretch for which a gather runs once per stretch
 
 
 @dataclass
@@ -119,7 +117,7 @@ def _narrow(x: np.ndarray) -> np.ndarray:
     return x.astype(np.min_scalar_type(int(x.max())), copy=False)
 
 
-def _tally(counts: np.ndarray, rows, values: Values) -> np.ndarray:
+def _tally(counts: np.ndarray, rows, values: dict) -> np.ndarray:
     """Add to ``counts`` the correct guesses of each (form, colors) row."""
     for form, color in rows:
         counts += form(values, len(counts)) == color
@@ -129,12 +127,8 @@ def _tally(counts: np.ndarray, rows, values: Values) -> np.ndarray:
 class _Periodic:
     """The exhaustive index as periodic rows, for one sweep in blocks of at
     most ``size`` indices.  Tiles are built when a block first reads them
-    and shared by every worker.
-
-    The first ``prefix`` rows repeat with period P = places[prefix].  Every
-    later row is constant across each stretch [q*P, (q+1)*P), so a gather
-    adds its later digits' weighted sum, one number per stretch, to a tile
-    of its prefix digits' weighted sum.
+    and shared by every worker.  The first ``prefix`` rows repeat with
+    period P = places[prefix].
     """
 
     def __init__(self, game: Game, size: int):
@@ -142,13 +136,13 @@ class _Periodic:
         self.places = (1, *itertools.accumulate(game.hat_tuple, operator.mul))
         self.count_dtype = np.min_scalar_type(len(game.hat_tuple))
         self.prefix = 0
-        while self.prefix < len(game.hat_tuple) and self.places[self.prefix + 1] <= min(HOIST_PERIOD, size):
+        while self.prefix < len(game.hat_tuple) and self.places[self.prefix + 1] <= min(TILE_PERIOD, size):
             self.prefix += 1
         self.period = self.places[self.prefix]
-        self._tiles, self._keys, self._hoisted = {}, {}, {}
+        self._tiles, self._hoisted = {}, {}
 
-    def block(self, lo: int, n: int, split: bool = True) -> _Slice:
-        return _Slice(self, lo, n, split)
+    def block(self, lo: int, n: int) -> _Slice:
+        return _Slice(self, lo, n)
 
     def digit(self, digit, lo: int, n: int) -> np.ndarray:
         """A digit's values at indices lo .. lo + n - 1, narrow unsigned."""
@@ -172,15 +166,6 @@ class _Periodic:
             lengths[-1] = lo + n - last * place
         return np.repeat(_narrow(_steps(runs, steps)), lengths)
 
-    def key(self, digits: tuple, weights: tuple) -> np.ndarray:
-        """The weighted sum of prefix digits at every index mod P, tiled to
-        P + size."""
-        tile = self._keys.get((digits, weights))
-        if tile is None:
-            key = self.block(0, self.period, split=False).key(digits, weights, self.period)
-            tile = self._keys.setdefault((digits, weights), np.resize(key, self.period + self.size))
-        return tile
-
     def hoisted(self, program: Program) -> tuple[Optional[np.ndarray], frozenset]:
         """The rows of the sages settled by the prefix rows, and their
         correct guesses at every index mod P, tiled to P + size (None when
@@ -192,7 +177,7 @@ class _Periodic:
                              if all(row < k for row, _ in form.digits))
             tile = None
             if rows:
-                block = self.block(0, self.period, split=False)
+                block = self.block(0, self.period)
                 counts = _tally(np.zeros(self.period, self.count_dtype),
                                 ((program.forms[i], block.color(i)) for i in sorted(rows)), block)
                 tile = np.resize(counts, self.period + self.size)
@@ -200,14 +185,13 @@ class _Periodic:
         return got
 
 
-class _Slice(Values):
+class _Slice(dict):
     """Indices lo .. lo + n - 1 of an exhaustive sweep, as the digits its
-    forms read; each is made when first read.  With ``split``, a gather
-    over a block of long stretches runs once per stretch."""
+    forms read; each is made when first read."""
 
-    def __init__(self, source: _Periodic, lo: int, n: int, split: bool):
+    def __init__(self, source: _Periodic, lo: int, n: int):
         super().__init__()
-        self.source, self.lo, self.n, self.split = source, lo, n, split
+        self.source, self.lo, self.n = source, lo, n
 
     def __missing__(self, digit) -> np.ndarray:
         got = self.source.digit(digit, self.lo, self.n)
@@ -221,26 +205,6 @@ class _Slice(Values):
     @property
     def colors(self) -> list[np.ndarray]:
         return [self.color(i) for i in range(len(self.source.game.hat_tuple))]
-
-    def gather(self, form, n: int) -> np.ndarray:
-        source, lo = self.source, self.lo
-        period, k = source.period, source.prefix
-        first, last = lo // period, (lo + n - 1) // period
-        if not self.split or (last - first + 1) * MIN_STRETCH > n:
-            return super().gather(form, n)
-        low = [(d, w) for d, w in zip(form.digits, form.weights) if d[0] < k]
-        high = [(d, w) for d, w in zip(form.digits, form.weights) if d[0] >= k]
-        tile = source.key(*map(tuple, zip(*low))) if low else None
-        out = np.empty(n, form.table.dtype)
-        for q in range(first, last + 1):
-            a, b = max(q * period, lo) - lo, min((q + 1) * period, lo + n) - lo
-            shift = sum(w * int(source.digit(d, lo + a, 1)[0]) for d, w in high)
-            if tile is None:
-                out[a:b] = form.table[shift]
-            else:
-                start = (lo + a) % period
-                np.take(form.table[shift:], tile[start:start + b - a], out=out[a:b])
-        return out
 
     def count(self, program: Program) -> np.ndarray:
         tile, hoisted = self.source.hoisted(program)

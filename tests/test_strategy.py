@@ -646,6 +646,31 @@ class TestCompiledAgainstScalar:
             Program(game, (Gather(copy, ((2, ()),), (1,)), zero, zero))
         Program(game, (Gather(copy, ((1, ()),), (1,)), zero, zero))
 
+    def test_narrow_gather_keys_match_intp_keys(self, trefoil_composed):
+        # A gather sums its key in the narrowest dtype that holds every index
+        # and weight.  On narrow digits (a sweep block) and on uint64 digits
+        # viewed as intp (a drawn batch) it must pick what an intp key picks.
+        from hats.verifier import _Periodic
+
+        game, program = trefoil_composed.game, trefoil_composed.strategy._program
+        gathers, todo = [], list(program.forms)
+        while todo:
+            form = todo.pop()
+            if isinstance(form, Gather):
+                gathers.append(form)
+            todo.extend([*getattr(form, "parts", ()), *getattr(form, "choices", ()),
+                         *(f for f, _ in getattr(form, "hits", ()))])
+        assert len(gathers) >= len(program.forms)
+        assert all(g.key_dtype.itemsize < np.dtype(np.intp).itemsize for g in gathers)
+        n = 4096
+        colors = random_colors(game, np.random.default_rng(14), n)
+        for values in (_Periodic(game, n).block(3 * n, n), program.values(colors)):
+            for g in gathers:
+                key = np.zeros(n, dtype=np.intp)
+                for d, w in zip(g.digits, g.weights):
+                    key += values[d].astype(np.intp) * w
+                np.testing.assert_array_equal(g(values, n), g.table[key])
+
 
 class TestDeepScalarPath:
     """The scalar reference path answers composites nested far past the
@@ -685,6 +710,16 @@ class TestDeepScalarPath:
             assignment = {v: int(colors[i, col]) for i, v in enumerate(verts)}
             for i in sorted(picks):
                 assert strategy.guess(verts[i], assignment) == int(rows[i][col]), (col, verts[i][-12:])
+
+    def test_leaf_without_a_guess_raises(self):
+        # A leaf that defines no reference guess says so, and asks for nothing.
+        class Silent(Strategy):
+            def __init__(self, game):
+                self.game = game
+
+        game = clique([2, 2])
+        with pytest.raises(NotImplementedError):
+            evaluate(Silent(game), {"v0": 0, "v1": 1})
 
 
 class TestAdaptMajorized:

@@ -23,7 +23,6 @@ from hats.strategy import Strategy, TableStrategy, clique_strategy, k5minus_stra
 from hats.verifier import (
     CHUNK,
     MAX_JOBS,
-    MIN_STRETCH,
     SAMPLE_BLOCK,
     TILE_PERIOD,
     VerifyReport,
@@ -341,7 +340,7 @@ class TestPeriodicDecode:
 
 def _batch_reference(game, strategy, size=CHUNK):
     """Histogram and lowest zero of the uint64 batch path, decoding every
-    index exactly: independent of tiles, hoisting and stretches."""
+    index exactly: independent of tiles and hoisting."""
     hist, zero = {}, None
     for lo in range(0, game.color_space, size):
         colors = _decode_chunk(game, lo, min(size, game.color_space - lo))
@@ -388,9 +387,9 @@ def _planted(strategy, hoisted):
 
 
 class TestPeriodicSweep:
-    """Hoisted sages are counted once per sweep from the prefix rows, and a
-    gather over long stretches runs once per stretch; reports and
-    histograms must still equal the oracles for block sizes around P."""
+    """Hoisted sages are counted once per sweep from the prefix rows;
+    reports and histograms must still equal the oracles for block sizes
+    around P and for blocks that span several periods."""
 
     @staticmethod
     def _check(game, strategy, reference, chunks):
@@ -431,9 +430,9 @@ class TestPeriodicSweep:
         assert reference.counterexample_index == index
         self._check(game, planted, reference, (7, 71, 72, 73, 215, 216, 217, 1 << 16))
 
-    def test_stretches_match_the_batch_path(self):
+    def test_blocks_across_periods_match_the_batch_path(self):
         # 592,704 assignments, P = 42,336 at the default block: each block
-        # spans two or three stretches, so its gathers run per stretch.
+        # reads the hoisted tile across two or three periods.
         from hats.dsl import elaborate, parse
 
         composed = elaborate(parse("product(clique[2,3,6]@v0, k5minus@A2)"))
@@ -441,7 +440,6 @@ class TestPeriodicSweep:
         source = _Periodic(game, CHUNK)
         hoisted = source.hoisted(composed.strategy._program)[1]
         assert source.period == 42336 and hoisted == {1, 2, 5}
-        assert 3 * MIN_STRETCH <= CHUNK
         for strategy in (composed.strategy, _planted(composed.strategy, hoisted)[0]):
             hist, zero = _batch_reference(game, strategy)
             for chunk, jobs in ((CHUNK, 1), (CHUNK, 2), (50000, 2), (42337, 1)):
