@@ -9,16 +9,17 @@ Every strategy exposes two evaluation paths:
   one.  This is the reference path.  A composite asks for its factors'
   guesses from one loop, so nesting depth costs no recursion.
 * ``guesses_batch(colors)`` - numpy over a batch of assignments (one row
-  per vertex, in vertex order).  Every strategy, leaf or composite
-  (product, cone, majorization adapter), compiles once, the first time
-  its rows are asked for, into a :class:`Program`: one flat form per
-  vertex, gathering over digits of its neighbors' colors, with each
-  leaf vertex's guesses tabulated from its own row of the leaf's batch
-  path (a vertex too wide to tabulate runs that row instead).  A
-  composite's ``guesses_batch`` runs its program; the sweep verifier
-  hands each block to ``Strategy._correct_counts``, which counts the
-  program's rows one at a time, so a sweep holds one row of guesses,
-  not V.
+  per vertex, in vertex order).  A leaf (clique, trap, table) gives sage
+  i's row from its definition, ``_row(i, colors)``, and its batch is its
+  rows.  Every strategy, leaf or composite (product, cone, majorization
+  adapter), compiles once, the first time its rows are asked for, into a
+  :class:`Program`: one flat form per vertex, gathering over unsigned
+  digits of its neighbors' colors, with each leaf vertex's guesses
+  tabulated from its ``_row`` (a vertex too wide to tabulate runs its
+  ``_row`` instead).  A composite's ``guesses_batch`` runs its program;
+  the sweep verifier hands each block to ``Strategy._correct_counts``,
+  which counts the program's rows one at a time, so a sweep holds one row
+  of guesses, not V.
 
 The two paths are implemented independently and the test suite checks
 them against each other exhaustively on small games and on random
@@ -32,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from importlib import resources
 from typing import Generator, Iterator, Mapping, Sequence
 
@@ -95,8 +96,9 @@ class Strategy:
         raise NotImplementedError
 
     def _row(self, i: int, colors: Sequence[np.ndarray]) -> np.ndarray:
-        """Row i of ``guesses_batch(colors)``."""
-        return self.guesses_batch(colors)[i]
+        """Row i of ``guesses_batch(colors)``, from sage i's definition; a
+        leaf defines it."""
+        raise NotImplementedError
 
     @cached_property
     def _program(self) -> Program:
@@ -292,19 +294,11 @@ def cyclic_interval(start: int, length: int, modulus: int = TRAP_MODULUS) -> tup
     return tuple((start + i) % modulus for i in range(length))
 
 
-# Keys per block of a trap guess table; no key (an unreduced checksum, or
-# one less a sage's own term plus 3c) exceeds 99.  The batch weights of
-# A2, A3, A14, B14, C14 are the checksum coefficients, then the A blocks'
-# offset 128*(c - b) and C14's 3c.
-_TRAP_KEYS = 128
-_TRAP_WEIGHTS = (21, 14, 3, _TRAP_KEYS, _TRAP_KEYS + 3)
-
-
 def _orbit_guesses(target: Sequence[int], w: int, h: int) -> np.ndarray:
-    """For each key q < _TRAP_KEYS, the unique x < h with (w*x + q) mod 42
+    """For each residue q mod 42, the unique x < h with (w*x + q) mod 42
     in ``target``; ContractError when the set meets some orbit {q + w*x}
     other than exactly once."""
-    hits = np.isin((np.arange(h)[:, None] * w + np.arange(_TRAP_KEYS)) % TRAP_MODULUS, target)
+    hits = np.isin((np.arange(h)[:, None] * w + np.arange(TRAP_MODULUS)) % TRAP_MODULUS, target)
     if not (hits.sum(axis=0) == 1).all():
         raise ContractError(f"target set {sorted(target)} does not meet every step-{w} orbit once")
     return hits.argmax(axis=0).astype(U)
@@ -390,18 +384,13 @@ def load_trap_table() -> TrapTable:
     return TrapTable(tuple(rows))
 
 
-_SHIPPED_TABLE: TrapTable | None = None
-
-
+@cache
 def shipped_trap_table() -> TrapTable:
-    global _SHIPPED_TABLE
-    if _SHIPPED_TABLE is None:
-        table = load_trap_table()
-        problems = validate_trap_table(table)
-        if problems:
-            raise ContractError("shipped trap table is invalid: " + "; ".join(problems))
-        _SHIPPED_TABLE = table
-    return _SHIPPED_TABLE
+    table = load_trap_table()
+    problems = validate_trap_table(table)
+    if problems:
+        raise ContractError("shipped trap table is invalid: " + "; ".join(problems))
+    return table
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -418,11 +407,12 @@ class K5MinusTrapStrategy(Strategy):
     validated table guarantees the five sets jointly cover Z_42, so some
     sage is always correct.
 
-    The batch path is one ``np.take`` per sage from a table built once per
-    instance, holding for each key q < 128 the unique x < h with
-    (w*x + q) mod 42 in the sage's target set.  B14 and C14 key on the
-    unreduced S.  An A sage keys on S minus its own term plus 3c (undoing
-    its row's shift) in block c - b + 13 of 27, which holds row (c - b) mod 14.
+    Sage i's batch row is one ``np.take`` from its guess table, built once
+    per instance: for each residue q mod 42, the unique x < h with
+    (w*x + q) mod 42 in the sage's target set.  B14 and C14 key on S.  An
+    A sage keys on row d = (c - b) mod 14 and on S minus its own term plus
+    3c, which undoes its row's shift.  Sages are read by name, so any
+    vertex order works.
     """
 
     game: Game
@@ -464,24 +454,24 @@ class K5MinusTrapStrategy(Strategy):
         return cands[0]
 
     @cached_property
-    def _tables(self) -> tuple[np.ndarray, ...]:
-        """One uint64 guess table per sage, in K5_VERTICES order."""
-        if self.game.graph.vertices != K5_VERTICES:
-            raise ContractError(f"the trap's batch path reads rows in the order {K5_VERTICES}")
-        blocks = [self.table.rows[(k - 13) % 14] for k in range(27)]
-        a_tables = [
-            np.concatenate([_orbit_guesses(getattr(row, name), w, h) for row in blocks])
-            for name, w, h in (("a2", 21, 2), ("a3", 14, 3), ("a14", 3, 14))
-        ]
-        return (*a_tables, _orbit_guesses(FIRST_TRAP, 3, 14), _orbit_guesses(SECOND_TRAP, 3, 14))
+    def _guess_tables(self) -> dict[str, np.ndarray]:
+        """Per sage, its uint64 guess at each key: 42*d + q for an A sage in
+        row d, q for B14 and C14."""
+        tables = {v: np.concatenate([_orbit_guesses(getattr(row, v.lower()), w, h) for row in self.table.rows])
+                  for v, w, h in (("A2", 21, 2), ("A3", 14, 3), ("A14", 3, 14))}
+        return {**tables, "B14": _orbit_guesses(FIRST_TRAP, 3, 14), "C14": _orbit_guesses(SECOND_TRAP, 3, 14)}
+
+    def _row(self, i: int, colors: Sequence[np.ndarray]) -> np.ndarray:
+        v, m = self.game.graph.vertices[i], _u(TRAP_MODULUS)
+        a = {u: np.asarray(colors[self.game.graph.index[u]], dtype=U) for u in K5_VERTICES}
+        rest = sum(_u(w) * a[u] for u, w in (("A2", 21), ("A3", 14), ("A14", 3)) if u != v)
+        if v in ("B14", "C14"):
+            return np.take(self._guess_tables[v], rest % m)
+        d = (a["C14"] + _u(14) - a["B14"]) % _u(14)
+        return np.take(self._guess_tables[v], d * m + (rest + _u(3) * a["C14"]) % m)
 
     def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
-        t2, t3, t14, tb, tc = (np.multiply(row, w, dtype=np.intp, casting="unsafe")
-                               for row, w in zip(colors, _TRAP_WEIGHTS))
-        s = t2 + t3 + t14
-        shifted = s + tc - tb + 13 * _TRAP_KEYS
-        keys = (shifted - t2, shifted - t3, shifted - t14, s, s)
-        return [np.take(table, key) for table, key in zip(self._tables, keys)]
+        return [self._row(i, colors) for i in range(len(colors))]
 
 
 def k5minus_game() -> Game:
@@ -510,6 +500,19 @@ class TableStrategy(Strategy):
     tables: Mapping[str, tuple[int, ...]]
     kind = "table"
 
+    def __post_init__(self):
+        # Tables are the solver's output and a file format: a bad one is
+        # refused here, not in the middle of a sweep.
+        for v in self.game.graph.vertices:
+            if v not in self.tables:
+                raise ContractError(f"no guess table for vertex {v!r}")
+            table, h = self.tables[v], self.game.h(v)
+            patterns = math.prod(self.game.h(u) for u in self.game.graph.adjacency[v])
+            if len(table) != patterns:
+                raise ContractError(f"the table at {v!r} has {len(table)} entries, expected {patterns}")
+            if not all(0 <= g < h for g in table):
+                raise ContractError(f"the table at {v!r} holds a guess outside [0, {h})")
+
     def pattern_index(self, v: str, assignment: Mapping[str, int]) -> int:
         idx = 0
         place = 1
@@ -521,12 +524,12 @@ class TableStrategy(Strategy):
     def guess(self, v: str, assignment: Assignment) -> int:
         return self.tables[v][self.pattern_index(v, assignment)]
 
+    def _row(self, i: int, colors: Sequence[np.ndarray]) -> np.ndarray:
+        table = np.asarray(self.tables[self.game.graph.vertices[i]], dtype=U)
+        return np.take(table, pattern_indices(self.game, i, colors))
+
     def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
-        return [
-            np.take(np.asarray(self.tables[v], dtype=U),
-                    pattern_indices(self.game, i, colors).astype(np.intp))
-            for i, v in enumerate(self.game.graph.vertices)
-        ]
+        return [self._row(i, colors) for i in range(len(colors))]
 
 
 def pattern_indices(game: Game, i: int, colors: Sequence[np.ndarray]) -> np.ndarray:
@@ -588,8 +591,8 @@ def adapt_majorized(strategy: Strategy, lower: Mapping[str, int]) -> AdaptedStra
 #
 # A digit (row, steps) is a row's color passed through each (div, mod) step,
 # x -> x // div % mod (no remainder where mod is None); (row, ()) is the
-# color itself.  A form maps the values of its digits (small unsigned, or a
-# color's uint64 bits viewed as intp) to one row of uint64 guesses.
+# color itself.  A form maps the unsigned values of its digits to one row of
+# uint64 guesses.
 
 
 def _steps(x: np.ndarray, steps) -> np.ndarray:
@@ -645,7 +648,7 @@ class Select:
         out = first.copy()
         for i in reversed(range(len(self.hits))):
             (form, d), choice = self.hits[i], first if i == 0 else self.choices[i](values, n)
-            np.copyto(out, choice, where=form(values, n).view(np.intp) == values[d])
+            np.copyto(out, choice, where=form(values, n) == values[d])
         return out
 
 
@@ -659,8 +662,8 @@ class Leaf:
         self.digits = tuple(d for d in inputs if d is not None)
 
     def __call__(self, values, n: int) -> np.ndarray:
-        rows = [np.zeros(n, dtype=U) if d is None else values[d].astype(U) for d in self.inputs]
-        return np.asarray(self.strategy._row(self.index, rows), dtype=U)
+        rows = [np.zeros(n, dtype=U) if d is None else values[d] for d in self.inputs]
+        return self.strategy._row(self.index, rows)
 
 
 class Program:
@@ -682,7 +685,7 @@ class Program:
 
     def values(self, colors: Sequence[np.ndarray]) -> dict:
         """Every digit the forms read, from one row of colors per vertex."""
-        return {(row, steps): _steps(colors[row].astype(U, copy=False), steps).view(np.intp)
+        return {(row, steps): _steps(colors[row].astype(U, copy=False), steps)
                 if lut is None else np.take(lut, colors[row]) for (row, steps), lut in self._luts.items()}
 
     def rows(self, colors: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
@@ -711,8 +714,8 @@ def _compile(root: Strategy) -> list:
         places = [math.prod(spans[:k]) for k in range(len(spans) + 1)]
         if places[-1] > CLIQUE_TABLE_SPAN:
             return form
-        values = dict.fromkeys(form.digits, np.zeros(places[-1], dtype=np.intp))
-        values.update(zip(digits, np.indices(spans[::-1]).reshape(len(spans), places[-1])[::-1]))
+        values = dict.fromkeys(form.digits, np.zeros(places[-1], dtype=U))
+        values.update(zip(digits, np.indices(spans[::-1], dtype=U).reshape(len(spans), places[-1])[::-1]))
         return Gather(np.asarray(form(values, places[-1]), dtype=U), tuple(digits), tuple(places[:-1]))
 
     todo, done = [(root, tuple((row, ()) for row in range(len(hats))), None)], []

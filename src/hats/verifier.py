@@ -179,7 +179,7 @@ class _Periodic:
             if rows:
                 block = self.block(0, self.period)
                 counts = _tally(np.zeros(self.period, self.count_dtype),
-                                ((program.forms[i], block.color(i)) for i in sorted(rows)), block)
+                                ((program.forms[i], block[i, ()]) for i in sorted(rows)), block)
                 tile = np.resize(counts, self.period + self.size)
             got = self._hoisted.setdefault(program, (tile, rows))
         return got
@@ -194,17 +194,12 @@ class _Slice(dict):
         self.source, self.lo, self.n = source, lo, n
 
     def __missing__(self, digit) -> np.ndarray:
-        got = self.source.digit(digit, self.lo, self.n)
-        self[digit] = got = got.view(np.intp) if got.dtype == np.uint64 else got
+        self[digit] = got = self.source.digit(digit, self.lo, self.n)
         return got
-
-    def color(self, i: int) -> np.ndarray:
-        got = self[i, ()]
-        return got.view(np.uint64) if got.dtype == np.intp else got
 
     @property
     def colors(self) -> list[np.ndarray]:
-        return [self.color(i) for i in range(len(self.source.game.hat_tuple))]
+        return [self[i, ()] for i in range(len(self.source.game.hat_tuple))]
 
     def count(self, program: Program) -> np.ndarray:
         tile, hoisted = self.source.hoisted(program)
@@ -213,7 +208,7 @@ class _Slice(dict):
         else:
             start = self.lo % self.source.period
             counts = tile[start:start + self.n].copy()
-        rows = ((form, self.color(i)) for i, form in enumerate(program.forms) if i not in hoisted)
+        rows = ((form, self[i, ()]) for i, form in enumerate(program.forms) if i not in hoisted)
         return _tally(counts, rows, self)
 
     def assignment(self, col: int) -> Assignment:

@@ -29,6 +29,7 @@ from hats.strategy import (
     Leaf,
     ProductStrategy,
     Program,
+    Select,
     Strategy,
     TableStrategy,
     TrapRow,
@@ -297,6 +298,54 @@ def test_narrow_leaf_compiles_to_gathers(kind):
     assert_same_rows(list(strategy._program.rows(colors)), strategy.guesses_batch(colors))
 
 
+@pytest.mark.parametrize("kind", ["clique-arith", "k5minus-trap", "table"])
+def test_leaf_rows_are_its_batch(kind):
+    strategy = _dtype_cases()[kind]()
+    colors = random_colors(strategy.game, np.random.default_rng(4), 97)
+    batch = strategy.guesses_batch(colors)
+    assert_same_rows([strategy._row(i, colors) for i in range(len(colors))], batch)
+
+
+@pytest.mark.parametrize("kind", ["k5minus-trap", "table"])
+def test_standalone_leaf_compiles_from_its_rows(kind, monkeypatch):
+    # Tabulating a leaf asks for each vertex's own row once, never for the
+    # whole batch.
+    strategy = _dtype_cases()[kind]()
+    cls, asked = type(strategy), []
+    row = cls._row
+    monkeypatch.setattr(cls, "_row", lambda self, i, colors: asked.append(i) or row(self, i, colors))
+    monkeypatch.setattr(cls, "guesses_batch", lambda self, colors: pytest.fail("guesses_batch called"))
+    assert len(strategy._program.forms) == len(strategy.game.graph.vertices)
+    assert asked == list(range(len(strategy.game.graph.vertices)))
+
+
+@pytest.mark.parametrize("name", ["trefoil", "planar14"])
+def test_every_digit_is_unsigned(name, monkeypatch):
+    # The compile grid, drawn colors and sweep tiles all hold unsigned
+    # digits, so a form compares a uint64 guess with a digit exactly.
+    from hats import constructors
+    from hats.verifier import CHUNK, _Periodic, _sample_block
+
+    grid = []
+    for form in (Gather, Select, Leaf):
+        def recording(self, values, n, call=form.__call__):
+            grid.extend(values[d].dtype for d in self.digits)
+            return call(self, values, n)
+        monkeypatch.setattr(form, "__call__", recording)
+    composed = getattr(constructors, name)()
+    program = composed.strategy._program
+    monkeypatch.undo()
+    assert grid and {dtype.kind for dtype in grid} == {"u"}
+    drawn = program.values(_sample_block(composed.game, 7, 0, 64))
+    assert {value.dtype.kind for value in drawn.values()} == {"u"}
+    digits = {d for form in program.forms for d in form.digits}
+    assert any(steps == () for _, steps in digits)
+    for lo in (0, 3 * CHUNK + 11):
+        block = _Periodic(composed.game, CHUNK).block(lo, 1000)
+        assert {block[d].dtype.kind for d in digits} == {"u"}
+        assert {row.dtype.kind for row in block.colors} == {"u"}
+
+
 @pytest.mark.parametrize("kind", sorted(_dtype_cases()))
 def test_batch_rows_are_uint64(kind):
     # An intp row still compares exactly with a uint64 color row, but the
@@ -383,21 +432,24 @@ class TestK5MinusStrategy:
         game, strategy = k5minus_strategy()
         assert_paths_agree(strategy)
 
-    def test_other_vertex_order_refused_in_batch(self):
-        # The batch path reads rows in K5_VERTICES order; on this valid
-        # reordering it would report a counterexample the scalar path wins.
-        from hats.verifier import verify_exhaustive
+    def test_other_vertex_order_sweeps_clean(self):
+        # The batch path reads its sages by name, so a valid reordering
+        # sweeps exactly as the scalar path decides it.
+        from hats.verifier import verify_exhaustive, win_histogram
 
         game = Game(almost_complete_graph(("A3", "A2", "A14", "B14", "C14")), dict(K5_HATNESS))
         strategy = K5MinusTrapStrategy(game, shipped_trap_table())
-        assignment = {"A3": 2, "A2": 1, "A14": 0, "B14": 0, "C14": 0}
-        assert any(g == assignment[v] for v, g in strategy.guesses(assignment).items())
-        with pytest.raises(ContractError, match="order"):
-            verify_exhaustive(game, strategy, jobs=1)
+        naive = naive_verify(game, strategy, limit=20000)
+        report = verify_exhaustive(game, strategy, jobs=1, chunk=1000)
+        assert (report.checked, report.counterexample, report.min_correct) == (16464, None, 1)
+        assert (naive.counterexample, naive.min_correct) == (report.counterexample, report.min_correct)
+        assert win_histogram(game, strategy, jobs=1) == naive.histogram
 
     def test_broken_transversal_refused_in_batch(self):
         # An unvalidated table whose A14 set misses a residue class: the
-        # batch tables cannot be built, so the batch path refuses.
+        # guess tables cannot be built, so the batch path and a sweep refuse.
+        from hats.verifier import verify_exhaustive
+
         table = load_trap_table()
         row = table.rows[0]
         bad = TrapTable((TrapRow(row.d, row.a2, row.a3, (40, 41, 4)),) + table.rows[1:])
@@ -405,6 +457,8 @@ class TestK5MinusStrategy:
         colors = random_colors(strategy.game, np.random.default_rng(0), 16)
         with pytest.raises(ContractError, match="orbit"):
             strategy.guesses_batch(colors)
+        with pytest.raises(ContractError, match="orbit"):
+            verify_exhaustive(strategy.game, strategy, jobs=1)
 
 
 def clique_chain(copies):
@@ -880,6 +934,17 @@ class TestTableStrategy:
     def test_scalar_batch_agree(self):
         game = clique([2, 3])
         assert_paths_agree(TableStrategy(game, {"v0": (0, 1, 0), "v1": (1, 2)}))
+
+    @pytest.mark.parametrize("tables, match", [
+        ({"v0": (0, 1, 0)}, "no guess table"),
+        ({"v0": (0, 1), "v1": (0, 1)}, "has 2 entries, expected 3"),
+        ({"v0": (0, 1, 0, 1), "v1": (0, 1)}, "has 4 entries, expected 3"),
+        ({"v0": (0, 1, 2), "v1": (0, 1)}, r"outside \[0, 2\)"),
+        ({"v0": (0, 1, 0), "v1": (0, -1)}, r"outside \[0, 3\)"),
+    ])
+    def test_bad_tables_refused_where_they_enter(self, tables, match):
+        with pytest.raises(ContractError, match=match):
+            TableStrategy(clique([2, 3]), tables)
 
     def test_isolated_vertex(self):
         game = Game(Graph(("a",), []), {"a": 2})

@@ -317,13 +317,12 @@ class TestPeriodicDecode:
         want = [assignment_at(game, lo + col) for col in range(n)]
         decoded = _decode_chunk(game, lo, n)
         for i, v in enumerate(game.graph.vertices):
-            color = block.color(i)
+            color = block[i, ()]
             assert color.dtype.kind == "u"
             assert [int(c) for c in color] == [a[v] for a in want]
             assert [int(c) for c in decoded[i]] == [a[v] for a in want]
             digit = block[i, steps]
-            if digit.dtype == np.intp:  # a uint64 digit, as a form reads it
-                digit = digit.view(np.uint64)
+            assert digit.dtype.kind == "u"
             expect = [a[v] for a in want]
             for div, mod in steps:
                 expect = [x // div if mod is None else x // div % mod for x in expect]
