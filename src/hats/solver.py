@@ -38,7 +38,7 @@ from .core import (
     WINNING,
 )
 from .strategy import TableStrategy, pattern_indices
-from .verifier import _decode_chunk
+from .verifier import decode_block
 
 MAX_PATTERNS = 2 ** 16
 MAX_OPTIONS = 2 ** 20
@@ -102,7 +102,7 @@ class _Search:
         # order; per cell: the assignments referencing it.
         self.options: list[list[tuple[int, int]]] = [[] for _ in range(total)]
         self.cell_refs: list[list[tuple[int, int]]] = [[] for _ in self.dom]
-        colors = _decode_chunk(game, 0, total)
+        colors = decode_block(game, 0, total)
         for i in range(len(verts)):
             cells = (self.cell_base[i] + pattern_indices(game, i, colors)).tolist()
             for a, (cell, own) in enumerate(zip(cells, colors[i].tolist())):

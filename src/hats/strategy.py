@@ -19,7 +19,10 @@ Every strategy exposes two evaluation paths:
   ``_row`` instead).  A composite's ``guesses_batch`` runs its program;
   the sweep verifier hands each block to ``Strategy._correct_counts``,
   which counts the program's rows one at a time, so a sweep holds one row
-  of guesses, not V.
+  of guesses, not V.  Inside a program each form keeps its guesses in the
+  narrowest unsigned dtype that holds the largest one it can give (uint8
+  for every trefoil form); ``Program.rows``, and so ``guesses_batch``,
+  widens them to uint64.
 
 The two paths are implemented independently and the test suite checks
 them against each other exhaustively on small games and on random
@@ -411,13 +414,19 @@ class K5MinusTrapStrategy(Strategy):
     per instance: for each residue q mod 42, the unique x < h with
     (w*x + q) mod 42 in the sage's target set.  B14 and C14 key on S.  An
     A sage keys on row d = (c - b) mod 14 and on S minus its own term plus
-    3c, which undoes its row's shift.  Sages are read by name, so any
-    vertex order works.
+    3c, which undoes its row's shift.  Sages are read by name, so the
+    trap game in any vertex order is accepted, and any other game is
+    refused.
     """
 
     game: Game
     table: TrapTable
     kind = "k5minus-trap"
+
+    def __post_init__(self):
+        edges = {frozenset(e) for e in self.game.graph.edges}
+        if self.game.hatness != K5_HATNESS or edges != {frozenset(e) for e in k5minus_game().graph.edges}:
+            raise ContractError("the trap strategy plays only the k5minus game, in any vertex order")
 
     def _shifted_row_sets(self, b14: int, c14: int):
         row = self.table.rows[(c14 - b14) % 14]
@@ -592,7 +601,9 @@ def adapt_majorized(strategy: Strategy, lower: Mapping[str, int]) -> AdaptedStra
 # A digit (row, steps) is a row's color passed through each (div, mod) step,
 # x -> x // div % mod (no remainder where mod is None); (row, ()) is the
 # color itself.  A form maps the unsigned values of its digits to one row of
-# uint64 guesses.
+# guesses.  Its ``top`` is the largest guess it can give, or None where that
+# is unknown; its row is in the narrowest unsigned dtype that holds ``top``,
+# or uint64.  ``Program.rows`` widens every row to uint64.
 
 
 def _steps(x: np.ndarray, steps) -> np.ndarray:
@@ -601,13 +612,27 @@ def _steps(x: np.ndarray, steps) -> np.ndarray:
     return x
 
 
+def _holding(top: int | None) -> np.dtype:
+    """The narrowest unsigned dtype that holds 0 .. top; uint64 where top
+    is unknown or past it."""
+    return np.dtype(U) if top is None or top >= 2 ** 64 else np.min_scalar_type(top)
+
+
+def _narrow(x: np.ndarray) -> np.ndarray:
+    """``x`` in the narrowest unsigned dtype that holds its values."""
+    return x.astype(_holding(int(x.max())), copy=False)
+
+
 class Gather:
-    """``table[sum(w * d)]`` over digits d with weights w.  The key is summed
-    in the narrowest unsigned dtype that holds every index and weight: each
-    term lies below the table's length, so the cast of a digit is exact."""
+    """``table[sum(w * d)]`` over digits d with weights w.  The table is kept
+    in the narrowest unsigned dtype that holds its guesses, and so is the
+    row.  The key is summed in the narrowest unsigned dtype that holds every
+    index and weight: each term lies below the table's length, so the cast
+    of a digit is exact."""
 
     def __init__(self, table: np.ndarray, digits: tuple, weights: tuple):
-        self.table, self.digits, self.weights = table, digits, weights
+        self.table, self.digits, self.weights = _narrow(table), digits, weights
+        self.top = int(self.table.max())
         self.key_dtype = np.min_scalar_type(max((len(table), *weights)))
 
     def __call__(self, values, n: int) -> np.ndarray:
@@ -623,29 +648,42 @@ class Gather:
 
 
 class Sum:
-    """``sum(place * part)`` in uint64, then 0 wherever that reaches ``limit``."""
+    """``sum(place * part)``, then 0 wherever that reaches ``limit``.  The sum
+    is taken in the narrowest unsigned dtype that holds every place and
+    ``sum(place * top)`` over the parts, so no term or partial sum wraps; in
+    uint64 where a part's top is unknown (every part is a guess below a
+    hatness of at most 2**64, and a sum is an encoded guess below one)."""
 
     def __init__(self, places: tuple, parts: tuple, limit: int | None = None):
         self.places, self.parts, self.limit = places, parts, limit
         self.digits = tuple(dict.fromkeys(d for f in parts for d in f.digits))
+        tops = [f.top for f in parts]
+        total = None if None in tops else sum(p * t for p, t in zip(places, tops))
+        self.dtype = _holding(None if total is None else max(total, *places))
+        self.top = total if total is None or limit is None else min(total, limit - 1)
 
     def __call__(self, values, n: int) -> np.ndarray:
-        total = reduce(np.add, (f(values, n) * _u(p) for p, f in zip(self.places, self.parts)))
-        return total if self.limit is None else np.where(total < _u(self.limit), total, _u(0))
+        total = reduce(np.add, (np.multiply(f(values, n), p, dtype=self.dtype)
+                                for p, f in zip(self.places, self.parts)))
+        return total if self.limit is None else np.where(total < self.limit, total, 0)
 
 
 class Select:
-    """The choice at the first hit whose form equals its digit, else the first."""
+    """The choice at the first hit whose form equals its digit, else the
+    first, in a row that holds every choice."""
 
     def __init__(self, hits: tuple, choices: tuple):
         self.hits, self.choices = hits, choices  # hits: (form, digit) pairs
         forms = (*(f for f, _ in hits), *choices)
         self.digits = tuple(dict.fromkeys([*(d for f in forms for d in f.digits), *(d for _, d in hits)]))
+        tops = [f.top for f in choices]
+        self.top = None if None in tops else max(tops)
+        self.dtype = _holding(self.top)
 
     def __call__(self, values, n: int) -> np.ndarray:
         # The last hit writes first and the first hit last, one choice alive at a time.
         first = self.choices[0](values, n)
-        out = first.copy()
+        out = first.astype(self.dtype)
         for i in reversed(range(len(self.hits))):
             (form, d), choice = self.hits[i], first if i == 0 else self.choices[i](values, n)
             np.copyto(out, choice, where=form(values, n) == values[d])
@@ -660,6 +698,7 @@ class Leaf:
     def __init__(self, strategy: Strategy, inputs: tuple, index: int):
         self.strategy, self.inputs, self.index = strategy, inputs, index  # a digit or None per row
         self.digits = tuple(d for d in inputs if d is not None)
+        self.top = None
 
     def __call__(self, values, n: int) -> np.ndarray:
         rows = [np.zeros(n, dtype=U) if d is None else values[d] for d in self.inputs]
@@ -681,17 +720,19 @@ class Program:
         self.forms, self._luts = tuple(forms), {}
         for row, steps in dict.fromkeys(d for form in forms for d in form.digits):
             lut = _steps(np.arange(hats[row], dtype=U), steps) if steps and hats[row] <= CLIQUE_TABLE_SPAN else None
-            self._luts[row, steps] = lut if lut is None else lut.astype(np.min_scalar_type(lut.max()))
+            self._luts[row, steps] = lut if lut is None else _narrow(lut)
 
     def values(self, colors: Sequence[np.ndarray]) -> dict:
-        """Every digit the forms read, from one row of colors per vertex."""
-        return {(row, steps): _steps(colors[row].astype(U, copy=False), steps)
-                if lut is None else np.take(lut, colors[row]) for (row, steps), lut in self._luts.items()}
+        """Every digit the forms read, from one row of colors per vertex;
+        a row of unsigned colors is read as it is."""
+        rows = [row if row.dtype.kind == "u" else row.astype(U) for row in map(np.asarray, colors)]
+        return {(row, steps): _steps(rows[row], steps) if lut is None else np.take(lut, rows[row])
+                for (row, steps), lut in self._luts.items()}
 
     def rows(self, colors: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
         """Each vertex's row of guesses, in order, made when it is asked for."""
         values, n = self.values(colors), len(colors[0])
-        return (form(values, n) for form in self.forms)
+        return (form(values, n).astype(U, copy=False) for form in self.forms)
 
 
 def _compile(root: Strategy) -> list:
@@ -716,7 +757,7 @@ def _compile(root: Strategy) -> list:
             return form
         values = dict.fromkeys(form.digits, np.zeros(places[-1], dtype=U))
         values.update(zip(digits, np.indices(spans[::-1], dtype=U).reshape(len(spans), places[-1])[::-1]))
-        return Gather(np.asarray(form(values, places[-1]), dtype=U), tuple(digits), tuple(places[:-1]))
+        return Gather(form(values, places[-1]), tuple(digits), tuple(places[:-1]))
 
     todo, done = [(root, tuple((row, ()) for row in range(len(hats))), None)], []
     while todo:

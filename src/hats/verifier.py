@@ -23,13 +23,18 @@ color space.  The leading rows whose hatnesses multiply to P at most
 TILE_PERIOD (and at most one block) settle every sage whose own row and
 inputs lie among them, as a function of t mod P; the correct guesses of
 those sages are counted once per sweep, and each block evaluates only the
-rest.  A counterexample is decoded exactly from its index.
+rest.  Tiles and those counts are one period repeated with np.tile, made
+by the sweep's first block, which runs in the calling thread before any
+worker starts.  The program's rows stay in the narrow dtypes of its forms
+(see ``strategy``), so a block compares narrow guesses with narrow
+colors.  A counterexample is decoded exactly from its index.
 
 Sampled verification draws colors with the Philox counter-based
 generator so reports are reproducible: sample s of vertex i consumes the
 two 64-bit words at stream positions 2*(s*V + i) and 2*(s*V + i) + 1,
 and the color is their 128-bit value reduced modulo the hatness, exactly
-in uint64 for hatnesses up to 2**32 (larger ones raise CapacityError).
+in uint64 for hatnesses up to 2**32 (larger ones raise CapacityError),
+and kept in the narrowest unsigned dtype that holds every color.
 A counterexample found by sampling disproves the strategy; a clean run
 is evidence only, never a proof.
 """
@@ -50,7 +55,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import Assignment, CapacityError, ContractError, Game, assignment_at
-from .strategy import Program, Strategy, _steps
+from .strategy import Program, Strategy, _narrow, _steps
 
 DEFAULT_LIMIT = 2 ** 64
 MAX_JOBS = 256
@@ -112,11 +117,6 @@ def _index_space(game: Game, limit: int, what: str) -> int:
     return total
 
 
-def _narrow(x: np.ndarray) -> np.ndarray:
-    """``x`` in the narrowest unsigned dtype that holds its values."""
-    return x.astype(np.min_scalar_type(int(x.max())), copy=False)
-
-
 def _tally(counts: np.ndarray, rows, values: dict) -> np.ndarray:
     """Add to ``counts`` the correct guesses of each (form, colors) row."""
     for form, color in rows:
@@ -124,11 +124,17 @@ def _tally(counts: np.ndarray, rows, values: dict) -> np.ndarray:
     return counts
 
 
+def _tiled(period: np.ndarray, length: int) -> np.ndarray:
+    """``period`` repeated to ``length`` entries."""
+    return np.tile(period, -(-length // len(period)))[:length]
+
+
 class _Periodic:
     """The exhaustive index as periodic rows, for one sweep in blocks of at
     most ``size`` indices.  Tiles are built when a block first reads them
-    and shared by every worker.  The first ``prefix`` rows repeat with
-    period P = places[prefix].
+    (a sweep's first block, in the calling thread) and shared by every
+    worker.  The first ``prefix`` rows repeat with period P =
+    places[prefix].
     """
 
     def __init__(self, game: Game, size: int):
@@ -152,7 +158,7 @@ class _Periodic:
             tile = self._tiles.get(digit)
             if tile is None:
                 lut = _narrow(_steps(np.arange(h, dtype=np.uint64), steps))
-                tile = self._tiles.setdefault(digit, np.resize(np.repeat(lut, place), place * h + self.size))
+                tile = self._tiles.setdefault(digit, _tiled(np.repeat(lut, place), place * h + self.size))
             start = lo % (place * h)
             return tile[start:start + n]
         # Quotients first .. last, each held for a run of up to ``place`` indices.
@@ -180,7 +186,7 @@ class _Periodic:
                 block = self.block(0, self.period)
                 counts = _tally(np.zeros(self.period, self.count_dtype),
                                 ((program.forms[i], block[i, ()]) for i in sorted(rows)), block)
-                tile = np.resize(counts, self.period + self.size)
+                tile = _tiled(counts, self.period + self.size)
             got = self._hoisted.setdefault(program, (tile, rows))
         return got
 
@@ -216,7 +222,7 @@ class _Slice(dict):
 
 
 class _Drawn:
-    """A block of drawn colors: row i of the (V, n) uint64 ``colors`` is
+    """A block of drawn colors: row i of the (V, n) unsigned ``colors`` is
     vertex i's."""
 
     def __init__(self, game: Game, colors: np.ndarray):
@@ -230,14 +236,15 @@ class _Drawn:
         return {v: int(c) for v, c in zip(self.game.graph.vertices, self.colors[:, col])}
 
 
-def _decode_chunk(game: Game, lo: int, size: int) -> np.ndarray:
+def decode_block(game: Game, lo: int, size: int) -> np.ndarray:
     """The (V, size) uint64 colors at indices lo .. lo + size - 1, read
     the way the exhaustive sweep reads them."""
     return np.array(_Periodic(game, size).block(lo, size).colors, dtype=np.uint64)
 
 
 def _sample_block(game: Game, seed: int, lo: int, size: int) -> np.ndarray:
-    """Colors for samples [lo, lo+size) of the seeded Philox stream.
+    """Colors for samples [lo, lo+size) of the seeded Philox stream, one
+    row per vertex, in the narrowest unsigned dtype that holds them.
 
     Block starts must keep the word offset divisible by four (Philox
     advances in four-word counter steps); SAMPLE_BLOCK guarantees that.
@@ -246,7 +253,7 @@ def _sample_block(game: Game, seed: int, lo: int, size: int) -> np.ndarray:
     bits = np.random.Philox(key=seed, counter=2 * nverts * lo // 4)
     hats = np.array(game.hat_tuple, dtype=np.uint64)[:, None]
     carry = np.array([2 ** 64 % h for h in game.hat_tuple], dtype=np.uint64)[:, None]
-    colors = np.empty((nverts, size), dtype=np.uint64)
+    colors = np.empty((nverts, size), dtype=np.min_scalar_type(max(game.hat_tuple) - 1))
     for start in range(0, size, PHILOX_DRAW):
         part = colors[:, start:start + PHILOX_DRAW]
         # Word k of vertex i in sample s, as (k, i, s) views of the draw.
@@ -256,9 +263,13 @@ def _sample_block(game: Game, seed: int, lo: int, size: int) -> np.ndarray:
 
 
 def _in_order(run_block: Callable, starts, workers: int):
-    """``run_block`` of every start, in start order.  Several workers keep
-    up to ``2 * workers`` blocks submitted; closing cancels those not
-    yet started."""
+    """``run_block`` of every start, in start order.  The first block runs
+    in the calling thread, so what a sweep makes once (the compiled
+    program, tiles, hoisted counts) is made there, before any worker
+    starts.  Several workers then keep up to ``2 * workers`` blocks
+    submitted; closing cancels those not yet started."""
+    starts = iter(starts)
+    yield from map(run_block, itertools.islice(starts, 1))
     if workers == 1:
         yield from map(run_block, starts)
         return

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -31,6 +32,7 @@ from hats.strategy import (
     Program,
     Select,
     Strategy,
+    Sum,
     TableStrategy,
     TrapRow,
     TrapTable,
@@ -44,7 +46,7 @@ from hats.strategy import (
     shipped_trap_table,
     validate_trap_table,
 )
-from hats.verifier import _decode_chunk
+from hats.verifier import decode_block
 from conftest import naive_verify
 
 
@@ -216,7 +218,7 @@ class TestCliqueBatchPaths:
         game = clique(hats)
         strategy = clique_strategy(game)
         assert (strategy._tables is not None) == (hats in self.BELOW)
-        colors = _decode_chunk(game, 0, game.color_space)
+        colors = decode_block(game, 0, game.color_space)
         rows = strategy.guesses_batch(colors)
         gather, arith = both_clique_paths(game, colors, monkeypatch)
         assert_same_rows(rows, gather)
@@ -235,7 +237,7 @@ class TestCliqueBatchPaths:
         strategy = clique_strategy(game)
         assert strategy._tables is not None
         assert_paths_agree(strategy)
-        colors = _decode_chunk(game, 0, game.color_space)
+        colors = decode_block(game, 0, game.color_space)
         gather, arith = both_clique_paths(game, colors, monkeypatch)
         assert_same_rows(strategy.guesses_batch(colors), arith)
         assert_same_rows(gather, arith)
@@ -445,6 +447,26 @@ class TestK5MinusStrategy:
         assert (naive.counterexample, naive.min_correct) == (report.counterexample, report.min_correct)
         assert win_histogram(game, strategy, jobs=1) == naive.histogram
 
+    def test_only_the_trap_game_accepted(self):
+        # Any vertex order of the trap game sweeps clean; any other game is
+        # refused when the strategy is built, not with a KeyError mid-sweep.
+        from hats.verifier import verify_exhaustive
+
+        names = ("B14", "A2", "C14", "A14", "A3")
+        edges = [(a, b) for k, a in enumerate(names) for b in names[k + 1:] if {a, b} != {"B14", "C14"}]
+        game = Game(Graph(names, edges), dict(K5_HATNESS))
+        report = verify_exhaustive(game, K5MinusTrapStrategy(game, shipped_trap_table()), jobs=1)
+        assert (report.checked, report.counterexample, report.min_correct) == (16464, None, 1)
+        others = [
+            Game(complete_graph(("v0", "v1")), {"v0": 2, "v1": 2}),
+            Game(complete_graph(K5_VERTICES), dict(K5_HATNESS)),
+            Game(almost_complete_graph(("B14", "C14", "A14", "A2", "A3")), dict(K5_HATNESS)),
+            Game(almost_complete_graph(K5_VERTICES), {**K5_HATNESS, "A3": 4}),
+        ]
+        for other in others:
+            with pytest.raises(ContractError, match="k5minus game"):
+                K5MinusTrapStrategy(other, shipped_trap_table())
+
     def test_broken_transversal_refused_in_batch(self):
         # An unvalidated table whose A14 set misses a residue class: the
         # guess tables cannot be built, so the batch path and a sweep refuse.
@@ -473,6 +495,89 @@ def elaborated(text):
     from hats.dsl import elaborate, parse
 
     return elaborate(parse(text))
+
+
+def program_forms(program):
+    """Every form of a compiled program, nested ones included."""
+    forms, todo = [], list(program.forms)
+    while todo:
+        form = todo.pop()
+        forms.append(form)
+        todo.extend([*getattr(form, "parts", ()), *getattr(form, "choices", ()),
+                     *(f for f, _ in getattr(form, "hits", ()))])
+    return forms
+
+
+def scalar_tables(strategy):
+    """``strategy`` as a TableStrategy from its scalar path: each vertex's
+    guess at every pattern of its neighbors' colors (a guess reads nothing
+    else)."""
+    game, tables = strategy.game, {}
+    zeros = {v: 0 for v in game.graph.vertices}
+    for v in game.graph.vertices:
+        near = game.graph.adjacency[v][::-1]  # the first neighbor varies fastest
+        tables[v] = tuple(strategy.guess(v, {**zeros, **dict(zip(near, digits))})
+                          for digits in itertools.product(*(range(game.h(u)) for u in near)))
+    return TableStrategy(game, tables)
+
+
+class TestNarrowRows:
+    """A compiled form holds its guesses in the narrowest unsigned dtype
+    that holds its largest guess; no table or sum may wrap at a dtype
+    limit."""
+
+    @pytest.mark.parametrize("name", ["trefoil", "planar14"])
+    def test_gather_tables_are_narrow(self, name, request):
+        program = request.getfixturevalue(f"{name}_composed").strategy._program
+        gathers = [form for form in program_forms(program) if isinstance(form, Gather)]
+        assert len(gathers) >= len(program.forms)
+        for form in gathers:
+            assert form.table.dtype == np.min_scalar_type(form.table.max())
+
+    @pytest.mark.parametrize("text, limit", [
+        ("product(clique[16,2,2]@v0, clique[17,2,2]@v0)", 2 ** 8),  # 4,352 assignments
+        ("product(clique[256,2,2]@v0, clique[257,2,2]@v0)", 2 ** 16),  # 1,052,672
+        (clique_chain(9), 2 ** 8),  # v0 guesses up to 511, a sum of a uint8 and a bit
+    ], ids=["272", "65792", "chain-512"])
+    def test_glued_hatness_across_a_dtype_limit(self, text, limit):
+        from hats.verifier import _sample_block, verify_exhaustive, verify_sampled, win_histogram
+
+        composed = elaborated(text)
+        game, strategy = composed.game, composed.strategy
+        assert game.h("v0") > limit
+        reference = scalar_tables(strategy)
+        colors = decode_block(game, 0, game.color_space)
+        counts = sum(g == c for g, c in zip(reference.guesses_batch(colors), colors))
+        histogram = {k: int(f) for k, f in enumerate(np.bincount(counts)) if f}
+        if game.color_space <= 10 ** 4:
+            assert naive_verify(game, strategy).histogram == histogram
+        assert min(histogram) > 0
+        report = verify_exhaustive(game, strategy, jobs=2)
+        assert (report.checked, report.counterexample, report.min_correct) == (game.color_space, None, min(histogram))
+        assert win_histogram(game, strategy, jobs=2) == histogram
+        drawn = _sample_block(game, 5, 0, 4096)
+        least = int(min(sum(g == c for g, c in zip(reference.guesses_batch(drawn), drawn))))
+        report = verify_sampled(game, strategy, 4096, 5, jobs=2)
+        assert (report.checked, report.counterexample, report.min_correct) == (4096, None, least)
+
+    def test_2_64_axis_sum_stays_uint64(self):
+        # windmill(2, 64) before lowering: 64 K2s glued at v0, hatness 2**64.
+        from hats.constructors import windmill
+
+        strategy = windmill(2, 64).strategy.inner
+        game, axis = strategy.game, strategy._program.forms[0]
+        assert isinstance(axis, Sum) and axis.top == 2 ** 64 - 1 and axis.dtype == np.uint64
+        # The first 16 K2s tabulate; each later level adds one bit in a Sum,
+        # crossing into uint32 at level 17 and into uint64 at level 33.
+        forms = program_forms(strategy._program)
+        assert {np.dtype(f.table.dtype if isinstance(f, Gather) else f.dtype) for f in forms} == {
+            np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)}
+        top = {v: h - 1 for v, h in zip(game.graph.vertices, game.hat_tuple)}
+        for assignment in (top, {v: 0 for v in top}):
+            rows = strategy.guesses_batch(batch_of(game, [assignment]))
+            assert [int(row[0]) for row in rows] == [strategy.guess(v, assignment) for v in game.graph.vertices]
+        # With every partner at 1, v0 guesses 2**64 - 1, the largest uint64.
+        assert strategy.guess("v0", top) == 2 ** 64 - 1
 
 
 class TestCompositeCapacity:

@@ -26,7 +26,7 @@ from hats.verifier import (
     SAMPLE_BLOCK,
     TILE_PERIOD,
     VerifyReport,
-    _decode_chunk,
+    decode_block,
     _Periodic,
     verify_exhaustive,
     verify_sampled,
@@ -232,7 +232,7 @@ class TestBoundedSweep:
             report = verify_exhaustive(game, NeverRight(game), jobs=2)
             assert report.checked == 1
             lo = 2 ** 64 - 16
-            colors = _decode_chunk(game, lo, 16)
+            colors = decode_block(game, lo, 16)
             for col in range(16):
                 decoded = {v: int(c) for v, c in zip(game.graph.vertices, colors[:, col])}
                 assert decoded == assignment_at(game, lo + col)
@@ -315,7 +315,7 @@ class TestPeriodicDecode:
         game = clique(hats)
         block = _Periodic(game, chunk).block(lo, n)
         want = [assignment_at(game, lo + col) for col in range(n)]
-        decoded = _decode_chunk(game, lo, n)
+        decoded = decode_block(game, lo, n)
         for i, v in enumerate(game.graph.vertices):
             color = block[i, ()]
             assert color.dtype.kind == "u"
@@ -342,7 +342,7 @@ def _batch_reference(game, strategy, size=CHUNK):
     index exactly: independent of tiles and hoisting."""
     hist, zero = {}, None
     for lo in range(0, game.color_space, size):
-        colors = _decode_chunk(game, lo, min(size, game.color_space - lo))
+        colors = decode_block(game, lo, min(size, game.color_space - lo))
         counts = sum(g == c for g, c in zip(strategy.guesses_batch(colors), colors))
         for count, freq in enumerate(np.bincount(counts)):
             if freq:
@@ -372,7 +372,7 @@ def _planted(strategy, hoisted):
     correct guess came from a hoisted row: only that row could have saved it."""
     game = strategy.game
     table = _tabulated(strategy)
-    colors = _decode_chunk(game, 0, game.color_space)
+    colors = decode_block(game, 0, game.color_space)
     correct = np.array([g == c for g, c in zip(strategy.guesses_batch(colors), colors)])
     lone = [(col, int(np.argmax(correct[:, col]))) for col in np.flatnonzero(correct.sum(axis=0) == 1)]
     col, row = next((col, row) for col, row in lone if row in hoisted)
