@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Generator, Iterable, Mapping, Optional
 
 
 class HatsError(Exception):
@@ -37,6 +37,24 @@ class CapacityError(HatsError):
     def __init__(self, message: str, size: int):
         super().__init__(message)
         self.size = size
+
+
+def drive(top: Generator, ask: Callable[..., Generator]):
+    """Run ``top`` and return its value.  Each request a generator yields
+    is answered with the value of the generator ``ask(*request)``, run the
+    same way; suspended generators wait on an explicit stack, so nesting of
+    any depth costs no recursion."""
+    stack, answer = [top], None
+    while stack:
+        try:
+            request = stack[-1].send(answer)
+        except StopIteration as done:
+            stack.pop()
+            answer = done.value
+        else:
+            stack.append(ask(*request))
+            answer = None
+    return answer
 
 
 def _canonical_edges(vertices: tuple[str, ...], edges: Iterable[tuple[str, str]]):
@@ -225,8 +243,6 @@ UNKNOWN = "unknown"
 # applications of a composition rule to their children.
 PROV_CLIQUE = "clique"          # fractional criterion on a complete graph
 PROV_EXHAUSTIVE = "exhaustive"  # full sweep over all assignments
-PROV_SOLVER = "solver"          # exact search
-PROV_SAMPLED = "sampled"        # statistical evidence, never a proof
 PROV_PRODUCT = "product"        # gluing two winning games at a vertex
 PROV_CONE = "cone"              # apex construction over a base game
 PROV_SUM_LOSE = "sum-lose"      # gluing two losing games at a vertex

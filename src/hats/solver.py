@@ -6,9 +6,10 @@ assignment has at least one vertex whose entry matches its own color.
 The search state keeps a color-set domain per table cell; branching
 picks the uncovered assignment with the fewest live covering options and
 tries them in vertex order, refuting each before moving to the next, so
-exhausting the root proves the game losing.  The search is iterative:
-its depth is bounded by the number of assignments (each level covers
-one more), not by the interpreter's recursion limit.
+exhausting the root proves the game losing.  Each search level is a
+generator run by :func:`hats.core.drive`, so the search depth is bounded
+by the number of assignments (each level covers one more), not by the
+interpreter's recursion limit.
 
 Two propagation rules keep tiny instances tiny: an uncovered assignment
 with a single live option forces that entry (unit propagation), and a
@@ -36,6 +37,7 @@ from .core import (
     LOSING,
     UNKNOWN,
     WINNING,
+    drive,
 )
 from .strategy import TableStrategy, pattern_indices
 from .verifier import decode_block
@@ -204,22 +206,9 @@ class _Search:
         self.units.extend(range(len(self.options)))
         if not self._propagate():
             return "unsat"
-        # Each search level is a generator that yields to descend; the
-        # stack of suspended levels replaces the call stack.
-        stack = [self._search()]
-        result = None
-        while stack:
-            try:
-                stack[-1].send(result)
-            except StopIteration as done:
-                stack.pop()
-                result = done.value
-            else:
-                stack.append(self._search())
-                result = None
-        return result
+        return drive(self._search(), self._search)
 
-    def _search(self) -> Generator[None, str, str]:
+    def _search(self) -> Generator[tuple[()], str, str]:
         if self.uncovered == 0:
             return "sat"
         if self.potential < self.uncovered:
@@ -240,7 +229,7 @@ class _Search:
             mark = len(self.trail)
             self.units.clear()
             if self._fix(cell, req) and self._propagate():
-                result = yield
+                result = yield ()
                 if result in ("sat", "budget"):
                     return result
             self._undo(mark)

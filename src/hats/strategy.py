@@ -7,7 +7,8 @@ Every strategy exposes two evaluation paths:
   written as directly as possible from the defining arithmetic, scanning
   candidate colors and asserting that the hypothesis set admits exactly
   one.  This is the reference path.  A composite asks for its factors'
-  guesses from one loop, so nesting depth costs no recursion.
+  guesses through :func:`hats.core.drive`, so nesting depth costs no
+  recursion.
 * ``guesses_batch(colors)`` - numpy over a batch of assignments (one row
   per vertex, in vertex order).  A leaf (clique, trap, table) gives sage
   i's row from its definition, ``_row(i, colors)``, and its batch is its
@@ -49,6 +50,7 @@ from .core import (
     Game,
     StructureError,
     almost_complete_graph,
+    drive,
     majorizes,
     validate_assignment,
 )
@@ -115,9 +117,13 @@ class Strategy:
         program one row at a time."""
         return block.count(self._program)
 
-    def _children(self, digits) -> list | None:
-        """Each child strategy with the digits its rows read; None at a leaf."""
-        return None
+    def _compiled(self, digits, tabulated) -> Generator:
+        """One form per row, given the digit each row reads, as a generator
+        that yields (part, digits) for each part it needs compiled, is sent
+        that part's forms, and returns its own.  A composite defines it; a
+        leaf compiles vertex by vertex through ``_form``."""
+        return [self._form(i, digits, tabulated) for i in range(len(digits))]
+        yield
 
     def _form(self, i: int, digits: tuple, tabulated):
         """Leaf vertex i compiled, given the digit each row reads: this
@@ -129,22 +135,12 @@ class Strategy:
 
 class _Composite(Strategy):
     """A strategy built from others (adapter, product, cone).  Its
-    reference guess asks for its parts' guesses through ``_consult``; every
-    sub-guess, at any nesting depth, is answered in one loop, with no
-    recursion."""
+    reference guess asks for its parts' guesses through ``_consult``, and
+    :func:`hats.core.drive` answers every sub-guess, at any nesting depth,
+    with no recursion."""
 
     def guess(self, v: str, assignment: Assignment) -> int:
-        stack, answer = [self._consult(v, assignment)], None
-        while stack:
-            try:
-                part, u, view = stack[-1].send(answer)
-            except StopIteration as done:
-                stack.pop()
-                answer = done.value
-            else:
-                stack.append(part._consult(u, view))
-                answer = None
-        return answer
+        return drive(self._consult(v, assignment), lambda part, u, view: part._consult(u, view))
 
 
 def evaluate(strategy: Strategy, assignment: Assignment) -> list[Guess]:
@@ -579,13 +575,11 @@ class AdaptedStrategy(_Composite):
     def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
         return list(self._program.rows(colors))
 
-    def _children(self, digits):
-        return [(self.inner, digits)]
-
-    def _join(self, children, parts, tabulated):
+    def _compiled(self, digits, tabulated) -> Generator:
+        forms = yield self.inner, digits
         # A guess is below its own game's hatness, so only lowered rows clamp.
         return [form if h == top else tabulated(Sum((1,), (form,), h))
-                for form, h, top in zip(parts[0], self.game.hat_tuple, self.inner.game.hat_tuple)]
+                for form, h, top in zip(forms, self.game.hat_tuple, self.inner.game.hat_tuple)]
 
 
 def adapt_majorized(strategy: Strategy, lower: Mapping[str, int]) -> AdaptedStrategy:
@@ -737,9 +731,9 @@ class Program:
 
 def _compile(root: Strategy) -> list:
     """One form per row of ``root``.  Each node is handed the digits its
-    rows read, top down, and joins its children's forms, bottom up, with
-    every form of at most CLIQUE_TABLE_SPAN input patterns tabulated; an
-    explicit stack compiles trees of any depth."""
+    rows read, top down, and joins its parts' forms, bottom up, with every
+    form of at most CLIQUE_TABLE_SPAN input patterns tabulated;
+    :func:`hats.core.drive` compiles trees of any depth."""
     hats = root.game.hat_tuple
 
     def span(digit) -> int:
@@ -759,17 +753,8 @@ def _compile(root: Strategy) -> list:
         values.update(zip(digits, np.indices(spans[::-1], dtype=U).reshape(len(spans), places[-1])[::-1]))
         return Gather(form(values, places[-1]), tuple(digits), tuple(places[:-1]))
 
-    todo, done = [(root, tuple((row, ()) for row in range(len(hats))), None)], []
-    while todo:
-        node, digits, children = todo.pop()
-        if children is not None:
-            done.append(node._join(children, [done.pop() for _ in children][::-1], tabulated))
-        elif (children := node._children(digits)) is not None:
-            todo.append((node, digits, children))
-            todo.extend((child, d, None) for child, d in reversed(children))
-        else:
-            done.append([node._form(i, digits, tabulated) for i in range(len(digits))])
-    return done[0]
+    return drive(root._compiled(tuple((row, ()) for row in range(len(hats))), tabulated),
+                 lambda part, digits: part._compiled(digits, tabulated))
 
 
 # ---------------------------------------------------------------------------
@@ -859,17 +844,14 @@ class ProductStrategy(_Composite):
     def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
         return list(self._program.rows(colors))
 
-    def _children(self, digits):
+    def _compiled(self, digits, tabulated) -> Generator:
         la, ra, h1 = self._axis
         _check_uint64(self.game, [h1])
         row, steps = digits[self.left_rows[la]]
         left, right = [digits[r] for r in self.left_rows], [digits[r] for r in self.right_rows]
         left[la], right[ra] = (row, (*steps, (1, h1))), (row, (*steps, (h1, None)))
-        return [(self.left, left), (self.right, right)]
-
-    def _join(self, children, parts, tabulated):
-        la, ra, h1 = self._axis
-        out = [None] * len(self.game.hat_tuple)
+        parts = [(yield self.left, left), (yield self.right, right)]
+        out = [None] * len(digits)
         for rows, forms in zip((self.left_rows, self.right_rows), parts):
             for r, form in zip(rows, forms):
                 out[r] = form
@@ -930,27 +912,24 @@ class ConeStrategy(_Composite):
     def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
         return list(self._program.rows(colors))
 
-    def _children(self, digits):
+    def _compiled(self, digits, tabulated) -> Generator:
         # Attachment i splits into its petal part and base vertex i.
         hs = [p.game.hat_tuple[a] for p, a in zip(self.petals, self.petal_a)]
         _check_uint64(self.game, hs)
-        petals, base = [], []
-        for petal, rows, a, h in zip(self.petals, self.petal_rows, self.petal_a, hs):
-            part, (row, steps) = [digits[r] for r in rows], digits[rows[a]]
+        attach = [digits[rows[a]] for rows, a in zip(self.petal_rows, self.petal_a)]
+        base_digits = [(row, (*steps, (h, None))) for (row, steps), h in zip(attach, hs)]
+        base_forms = yield self.base, base_digits
+        out, apex = [None] * len(digits), []
+        for petal, rows, o, a, h, (row, steps), ghat in zip(self.petals, self.petal_rows, self.petal_o,
+                                                           self.petal_a, hs, attach, base_forms):
+            part = [digits[r] for r in rows]
             part[a] = (row, (*steps, (1, h)))
-            petals.append((petal, part))
-            base.append((row, (*steps, (h, None))))
-        return [(self.base, base), *petals]
-
-    def _join(self, children, parts, tabulated):
-        out = [None] * len(self.game.hat_tuple)
-        (base_forms, *petal_forms), base_digits = parts, children[0][1]
-        for petal, forms, rows, a, ghat in zip(self.petals, petal_forms, self.petal_rows, self.petal_a, base_forms):
+            forms = yield petal, part
             for r, form in zip(rows, forms):
                 out[r] = form
-            out[rows[a]] = tabulated(Sum((1, petal.game.hat_tuple[a]), (forms[a], ghat)))
+            out[rows[a]] = tabulated(Sum((1, h), (forms[a], ghat)))
+            apex.append(forms[o])
         # The first petal whose base guess matched, else petal 0, as the
         # scalar path does.
-        out[self.petal_rows[0][self.petal_o[0]]] = tabulated(Select(
-            tuple(zip(base_forms, base_digits)), tuple(forms[o] for forms, o in zip(petal_forms, self.petal_o))))
+        out[self.petal_rows[0][self.petal_o[0]]] = tabulated(Select(tuple(zip(base_forms, base_digits)), tuple(apex)))
         return out

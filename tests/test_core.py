@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +18,7 @@ from hats.core import (
     assignment_at,
     assignment_index,
     complete_graph,
+    drive,
     dump_game,
     hg_lower_bound,
     load_game,
@@ -232,3 +234,47 @@ class TestJsonDocuments:
         a = dump_game(game_26666().game, game_26666().rotation)
         b = dump_game(game_26666().game, game_26666().rotation)
         assert a == b
+
+
+class TestDrive:
+    def test_returns_the_top_value(self):
+        def top():
+            return 7
+            yield
+
+        assert drive(top(), None) == 7
+
+    def test_answers_nested_requests_in_order(self):
+        log = []
+
+        def ask(name, *parts):
+            log.append(name)
+            answers = []
+            for part in parts:
+                answers.append((yield part))
+            return name + "(" + ",".join(answers) + ")"
+
+        top = ask("a", ("b", ("d",)), ("c",))
+        assert drive(top, ask) == "a(b(d()),c())"
+        assert log == ["a", "b", "d", "c"]
+
+    def test_depth_past_the_recursion_limit(self):
+        depth = 100_000
+        assert depth > sys.getrecursionlimit()
+
+        def ask(n):
+            return 0 if n == 0 else 1 + (yield (n - 1,))
+
+        assert drive(ask(depth), ask) == depth
+
+    def test_nested_exception_reaches_the_caller(self):
+        error = KeyError("deep")
+
+        def ask(n):
+            if n == 0:
+                raise error
+            return (yield (n - 1,))
+
+        with pytest.raises(KeyError) as caught:
+            drive(ask(50), ask)
+        assert caught.value is error

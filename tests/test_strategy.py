@@ -870,6 +870,31 @@ class TestDeepScalarPath:
             for i in sorted(picks):
                 assert strategy.guess(verts[i], assignment) == int(rows[i][col]), (col, verts[i][-12:])
 
+    def test_deep_cone_and_adapter_chain_against_compiled_rows(self):
+        # Rounds of product with a K2, lowering the glued vertex back to 2
+        # and a one-petal cone over clique[1]: 150 nested levels, past what
+        # the DSL accepts, with every hatness 2, so the chain also compiles.
+        # A vertex's name gains a prefix per level around it, so the names
+        # span the first level (v1 of the innermost K2) to the last (O).
+        from hats.constructors import PetalSpec, clique_game, cone, lower_to, product
+        from hats.dsl import MAX_NESTING
+
+        chain, levels = clique_game([2, 2]), 0
+        while levels < 150:
+            chain = product(clique_game([2, 2]), chain, "v1", chain.game.graph.vertices[0])
+            chain = cone(clique_game([1]), [PetalSpec(lower_to(chain, {"v1": 2}), "v1", "L/v0")])
+            levels += 3
+        assert levels > MAX_NESTING
+        game, strategy = chain.game, chain.strategy
+        assert set(game.hat_tuple) == {2}
+        colors = random_colors(game, np.random.default_rng(150), 8)
+        rows = strategy.guesses_batch(colors)
+        verts = game.graph.vertices
+        for col in range(colors.shape[1]):
+            assignment = {v: int(colors[i, col]) for i, v in enumerate(verts)}
+            for i, v in enumerate(verts):
+                assert strategy.guess(v, assignment) == int(rows[i][col]), (col, v[-12:])
+
     def test_leaf_without_a_guess_raises(self):
         # A leaf that defines no reference guess says so, and asks for nothing.
         class Silent(Strategy):

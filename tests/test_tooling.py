@@ -1,6 +1,6 @@
 """The test configuration itself: checks that a misspelt mark cannot
-silently deselect or skip a test, that the parallel sweep is warning
-free in a fresh interpreter, that verifying writes nothing to stdout but
+silently deselect or skip a test, that the parallel sweep and the solver
+are warning free in a fresh interpreter, that verifying writes nothing to stdout but
 its report, in strict JSON, and that a build's output does not depend on
 the interpreter's hash seed."""
 
@@ -70,6 +70,17 @@ def test_clean_cli_verify_is_warning_free(tmp_path):
     result = run_dev_mode(tmp_path, "-m", "hats.cli", "verify", "game.expr", "--jobs", "2")
     assert (result.returncode, result.stderr) == (0, "")
     assert strict_json(result.stdout)["counterexample"] is None
+
+
+def test_clean_cli_solve_is_warning_free(tmp_path):
+    # The 4-cycle wins at 3 colors (Szczechla 2017): a search several levels deep.
+    names = [f"v{i}" for i in range(4)]
+    doc = {"vertices": [{"name": v, "hatness": 3} for v in names],
+           "edges": [[names[i], names[(i + 1) % 4]] for i in range(4)]}
+    (tmp_path / "c4.json").write_text(json.dumps(doc))
+    result = run_dev_mode(tmp_path, "-m", "hats.cli", "solve", "c4.json")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert strict_json(result.stdout)["status"] == "winning"
 
 
 def test_verifiers_write_nothing(capfd, trefoil_composed, planar14_composed):
