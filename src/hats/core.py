@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Generator, Iterable, Mapping, Optional
@@ -37,6 +38,17 @@ class CapacityError(HatsError):
     def __init__(self, message: str, size: int):
         super().__init__(message)
         self.size = size
+
+
+def require_int(name: str, value) -> int:
+    """``value`` as an int; ContractError for a bool or for anything
+    ``operator.index`` refuses, such as a float or a string."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ContractError(f"{name} must be an integer, got {value!r}")
 
 
 def drive(top: Generator, ask: Callable[..., Generator]):
@@ -211,7 +223,7 @@ def validate_assignment(game: Game, assignment: Mapping[str, int]) -> None:
     if set(assignment) != set(game.graph.vertices):
         raise ContractError("assignment keys must equal the game's vertex set")
     for v, c in assignment.items():
-        if not 0 <= c < game.hatness[v]:
+        if not 0 <= require_int(f"the color at {v!r}", c) < game.hatness[v]:
             raise ContractError(f"color {c} at {v!r} outside [0, {game.hatness[v]})")
 
 

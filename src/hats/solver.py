@@ -38,6 +38,7 @@ from .core import (
     UNKNOWN,
     WINNING,
     drive,
+    require_int,
 )
 from .strategy import TableStrategy, pattern_indices
 from .verifier import decode_block
@@ -51,7 +52,7 @@ class SearchBudget:
     max_nodes: int = 1_000_000
 
     def __post_init__(self):
-        if self.max_nodes < 1:
+        if require_int("max_nodes", self.max_nodes) < 1:
             raise ContractError("budget must be positive")
 
 

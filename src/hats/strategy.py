@@ -6,9 +6,10 @@ Every strategy exposes two evaluation paths:
 * ``guess(v, assignment)`` / ``guesses(assignment)`` - plain Python,
   written as directly as possible from the defining arithmetic, scanning
   candidate colors and asserting that the hypothesis set admits exactly
-  one.  This is the reference path.  A composite asks for its factors'
-  guesses through :func:`hats.core.drive`, so nesting depth costs no
-  recursion.
+  one.  This is the reference path.  A composite asks for its parts'
+  guesses through :func:`hats.core.drive`, so nesting costs no recursion,
+  and hands each part a dict of only what the asked sage sees: its
+  neighbors' colors, split at a product axis or cone attachment.
 * ``guesses_batch(colors)`` - numpy over a batch of assignments (one row
   per vertex, in vertex order).  A leaf (clique, trap, table) gives sage
   i's row from its definition, ``_row(i, colors)``, and its batch is its
@@ -85,9 +86,9 @@ class Strategy:
         raise NotImplementedError
 
     def _consult(self, v: str, assignment: Assignment) -> Generator:
-        """The guess at v as a generator that yields (part, vertex, view)
-        for each sub-guess it needs, is sent the answer, and returns the
-        guess.  A composite defines it; a leaf asks for nothing."""
+        """The guess at v as a generator: it yields (part, vertex, seen) for
+        each sub-guess, ``seen`` a dict of what that vertex sees, is sent
+        each answer and returns the guess.  A leaf asks for nothing."""
         return self.guess(v, assignment)
         yield
 
@@ -135,12 +136,24 @@ class Strategy:
 
 class _Composite(Strategy):
     """A strategy built from others (adapter, product, cone).  Its
-    reference guess asks for its parts' guesses through ``_consult``, and
+    reference guess asks for its parts' guesses through ``_consult``,
+    handing each part only what the asked sage sees, and
     :func:`hats.core.drive` answers every sub-guess, at any nesting depth,
     with no recursion."""
 
     def guess(self, v: str, assignment: Assignment) -> int:
-        return drive(self._consult(v, assignment), lambda part, u, view: part._consult(u, view))
+        return drive(self._consult(v, assignment), lambda part, u, seen: part._consult(u, seen))
+
+    def _ask(self, part: Strategy, rows: Sequence[int], split, k: int, assignment: Assignment) -> tuple:
+        """The request for part vertex k's guess: the part, the vertex, and
+        a dict of what it sees, ``split(j, c)`` for each neighbor j in the
+        part, where c is the color in row ``rows[j]`` of ``assignment``."""
+        names, graph = self.game.graph.vertices, part.game.graph
+        seen = {}
+        for u in graph.adjacency[graph.vertices[k]]:
+            j = graph.index[u]
+            seen[u] = split(j, assignment[names[rows[j]]])
+        return part, graph.vertices[k], seen
 
 
 def evaluate(strategy: Strategy, assignment: Assignment) -> list[Guess]:
@@ -761,33 +774,6 @@ def _compile(root: Strategy) -> list:
 # Composite strategies (built by the constructors module)
 
 
-class _View(Mapping):
-    """``part``'s assignment inside a composite's (``outer``): part vertex k
-    reads the composite vertex in row ``rows[k]``, named ``names[rows[k]]``,
-    except the one at position ``at``, which reads ``color``.  A lookup
-    walks nested views by row in a loop, so a deep build costs neither
-    recursion nor a copy per level."""
-
-    def __init__(self, outer: Mapping, names: Sequence[str], part: Strategy, rows: Sequence[int],
-                 at: int, color: int):
-        self.outer, self.names, self.part, self.rows, self.at, self.color = outer, names, part, rows, at, color
-
-    def __getitem__(self, v: str) -> int:
-        # An outer view's positions are this view's composite rows.
-        view, k = self, self.part.game.graph.index[v]
-        while k != view.at:
-            if not isinstance(view.outer, _View):
-                return view.outer[view.names[view.rows[k]]]
-            view, k = view.outer, view.rows[k]
-        return view.color
-
-    def __iter__(self):
-        return iter(self.part.game.graph.vertices)
-
-    def __len__(self) -> int:
-        return len(self.part.game.graph.vertices)
-
-
 def _check_uint64(game: Game, moduli: Sequence[int]) -> None:
     """Composite batch paths hold colors, encoded guesses and split moduli
     in uint64: every hatness must be at most 2**64 and every modulus below
@@ -806,9 +792,9 @@ class ProductStrategy(_Composite):
 
     The glued vertex's color encodes a pair: the left factor reads
     ``c mod h1``, the right factor reads ``c div h1`` (h1 is the left
-    factor's hatness at the gluing).  Each side plays its own game on its
-    decoded view; the glued vertex emits the encoding of its two
-    sub-guesses.  If neither side produced a correct guess elsewhere,
+    factor's hatness at the gluing).  Each side plays its own game on
+    what its sages see, decoded; the glued vertex emits the encoding of
+    its two sub-guesses.  If neither side produced a correct guess elsewhere,
     both sides' guarantees force their sub-guesses at the gluing to be
     correct, and then the encoded pair is exactly the glued color.
 
@@ -830,15 +816,23 @@ class ProductStrategy(_Composite):
         la = self.left_rows.index(row)
         return la, self.right_rows.index(row), self.left.game.hat_tuple[la]
 
+    @cached_property
+    def _sides(self) -> tuple:
+        """Each factor, its rows, and ``split(j, c)``, its position j's color
+        when the composite's is c: the glued color's low digit c % h1 for
+        the left factor, its high digit c // h1 for the right."""
+        la, ra, h1 = self._axis
+        return ((self.left, self.left_rows, lambda j, c: c % h1 if j == la else c),
+                (self.right, self.right_rows, lambda j, c: c // h1 if j == ra else c))
+
     def _consult(self, v: str, assignment: Assignment) -> Generator:
-        names, r, (la, ra, h1) = self.game.graph.vertices, self.game.graph.index[v], self._axis
-        c = assignment[names[self.left_rows[la]]]
-        guesses = []
-        for part, rows, at, color in ((self.left, self.left_rows, la, c % h1),
-                                      (self.right, self.right_rows, ra, c // h1)):
-            if r in rows:
-                view = _View(assignment, names, part, rows, at, color)
-                guesses.append((yield part, part.game.graph.vertices[rows.index(r)], view))
+        r, h1, guesses = self.game.graph.index[v], self._axis[2], []
+        for side in self._sides:
+            try:  # one scan: r is in one factor, or in both at the glued row
+                k = side[1].index(r)
+            except ValueError:
+                continue
+            guesses.append((yield self._ask(*side, k, assignment)))
         return guesses[0] + h1 * guesses[1] if len(guesses) == 2 else guesses[0]
 
     def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -885,28 +879,32 @@ class ConeStrategy(_Composite):
     petal_a: tuple[int, ...]  # position of the attachment in each petal
     kind = "cone"
 
+    @cached_property
+    def _sides(self) -> tuple:
+        """Each petal and the base as a product's sides (a petal reads its
+        attachment's low digit c % h, the base each attachment's high digit
+        c // h), and each attachment's hatness h in its petal."""
+        hs = tuple(p.game.hat_tuple[a] for p, a in zip(self.petals, self.petal_a))
+        petals = tuple((p, rows, lambda j, c, a=a, h=h: c % h if j == a else c)
+                       for p, rows, a, h in zip(self.petals, self.petal_rows, self.petal_a, hs))
+        attach = tuple(rows[a] for rows, a in zip(self.petal_rows, self.petal_a))
+        return petals, (self.base, attach, lambda j, c: c // hs[j]), hs
+
     def _consult(self, v: str, assignment: Assignment) -> Generator:
-        names, r, base_names = self.game.graph.vertices, self.game.graph.index[v], self.base.game.graph.vertices
-        hs = [p.game.hat_tuple[a] for p, a in zip(self.petals, self.petal_a)]
-        attach = [assignment[names[rows[a]]] for rows, a in zip(self.petal_rows, self.petal_a)]
-        base = {b: c // h for b, c, h in zip(base_names, attach, hs)}
-
-        def petal(i: int, k: int) -> tuple:
-            p, rows = self.petals[i], self.petal_rows[i]
-            return p, p.game.graph.vertices[k], _View(assignment, names, p, rows, self.petal_a[i], attach[i] % hs[i])
-
+        r, (petals, base, hs) = self.game.graph.index[v], self._sides
         if r == self.petal_rows[0][self.petal_o[0]]:
-            chosen = 0
-            for i, b in enumerate(base_names):
-                if (yield self.base, b, base) == base[b]:
+            # The apex sees every attachment.
+            names, chosen = self.game.graph.vertices, 0
+            for i, row in enumerate(base[1]):
+                if (yield self._ask(*base, i, assignment)) == assignment[names[row]] // hs[i]:
                     chosen = i
                     break
-            return (yield petal(chosen, self.petal_o[chosen]))
+            return (yield self._ask(*petals[chosen], self.petal_o[chosen], assignment))
         i = next(i for i, rows in enumerate(self.petal_rows) if r in rows)
         k = self.petal_rows[i].index(r)
-        guess = yield petal(i, k)
+        guess = yield self._ask(*petals[i], k, assignment)
         if k == self.petal_a[i]:
-            return guess + hs[i] * (yield self.base, base_names[i], base)
+            return guess + hs[i] * (yield self._ask(*base, i, assignment))
         return guess
 
     def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:

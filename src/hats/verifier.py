@@ -54,7 +54,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Assignment, CapacityError, ContractError, Game, assignment_at
+from .core import Assignment, CapacityError, ContractError, Game, assignment_at, require_int
 from .strategy import Program, Strategy, _narrow, _steps
 
 DEFAULT_LIMIT = 2 ** 64
@@ -98,7 +98,7 @@ def resolve_jobs(jobs: Optional[int]) -> int:
             jobs = int(env)
         except ValueError:
             raise ContractError(f"HATS_JOBS must be an integer, got {env!r}") from None
-    if not 1 <= jobs <= MAX_JOBS:
+    if not 1 <= require_int("jobs", jobs) <= MAX_JOBS:
         raise ContractError(f"jobs must be in [1, {MAX_JOBS}], got {jobs}")
     return int(jobs)
 
@@ -106,7 +106,7 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 def _index_space(game: Game, limit: int, what: str) -> int:
     """The color space, refused above ``limit`` or the uint64 index range;
     a ``limit`` below 1 is a usage error."""
-    if limit < 1:
+    if require_int("limit", limit) < 1:
         raise ContractError(f"limit must be at least 1, got {limit}")
     total = game.color_space
     limit = min(limit, DEFAULT_LIMIT)
@@ -346,7 +346,7 @@ def verify_exhaustive(game: Game, strategy: Strategy, *,
     number of simultaneously correct guesses over all assignments; with
     one, ``checked`` is its index + 1 and ``min_correct`` is 0.
     """
-    total = _index_space(game, limit, "exhaustive verification")
+    total, chunk = _index_space(game, limit, "exhaustive verification"), require_int("chunk", chunk)
     return _verify("exhaustive", game, strategy, _Periodic(game, min(chunk, total)).block,
                    total, chunk, jobs)
 
@@ -362,6 +362,7 @@ def verify_sampled(game: Game, strategy: Strategy, samples: int, seed: int, *,
     ``samples``, or the counterexample's sample number + 1.  The seed
     must lie in [0, 2**128); hatnesses above 2**32 raise CapacityError.
     """
+    samples, seed = require_int("samples", samples), require_int("seed", seed)
     if samples < 1:
         raise ContractError("need at least one sample")
     if not 0 <= seed < 2 ** 128:
@@ -385,7 +386,7 @@ def win_histogram(game: Game, strategy: Strategy, *,
 
     Bucket 0 is empty exactly when the strategy wins.
     """
-    total = _index_space(game, limit, "a win histogram")
+    total, chunk = _index_space(game, limit, "a win histogram"), require_int("chunk", chunk)
     hist, _ = _sweep(game, strategy, _Periodic(game, min(chunk, total)).block, total, chunk,
                      jobs, stop_at_zero=False)
     return {count: int(freq) for count, freq in enumerate(hist) if freq}

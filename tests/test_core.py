@@ -105,6 +105,23 @@ class TestAssignmentAt:
             assert assignment_index(game, assignment) == index
         assert len(seen) == 6
 
+    @pytest.mark.parametrize("color", [0.5, 1.0, True, False, "1", None])
+    def test_non_integer_color_refused(self, color):
+        from hats.strategy import clique_strategy, evaluate
+
+        game = make_game([2, 3, 6])
+        assignment = {"v0": color, "v1": 0, "v2": 0}
+        with pytest.raises(ContractError, match="must be an integer"):
+            assignment_index(game, assignment)
+        with pytest.raises(ContractError, match="must be an integer"):
+            evaluate(clique_strategy(game), assignment)
+
+    def test_numpy_integer_colors_accepted(self):
+        import numpy as np
+
+        game = make_game([2, 3, 6])
+        assert assignment_index(game, {"v0": np.int64(1), "v1": np.uint8(2), "v2": np.uint64(0)}) == 5
+
     @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=5))
     def test_bijection_property(self, hats):
         game = make_game(hats)

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -831,6 +832,88 @@ class TestCompiledAgainstScalar:
                 np.testing.assert_array_equal(g(values, n), g.table[key])
 
 
+def cone_and_adapter_chain(depth=150):
+    """Rounds of product with a K2, lowering the glued vertex back to 2 and
+    a one-petal cone over clique[1], until ``depth`` levels are nested; the
+    build and its number of levels."""
+    from hats.constructors import PetalSpec, clique_game, cone, lower_to, product
+
+    chain, levels = clique_game([2, 2]), 0
+    while levels < depth:
+        chain = product(clique_game([2, 2]), chain, "v1", chain.game.graph.vertices[0])
+        chain = cone(clique_game([1]), [PetalSpec(lower_to(chain, {"v1": 2}), "v1", "L/v0")])
+        levels += 3
+    return chain, levels
+
+
+class _Recording(Mapping):
+    """An assignment that records every vertex whose color is read."""
+
+    def __init__(self, colors):
+        self.colors, self.read = colors, set()
+
+    def __getitem__(self, v):
+        self.read.add(v)
+        return self.colors[v]
+
+    def __iter__(self):
+        return iter(self.colors)
+
+    def __len__(self):
+        return len(self.colors)
+
+
+class TestReferenceLocality:
+    """A sage guesses from its neighbors' hats alone: the scalar reference
+    guess at v reads no color but those of v's neighbors, however deep v
+    sits in a composite."""
+
+    @staticmethod
+    def _assert_reads_neighbors_only(strategy, seed, assignments=2):
+        game, rng = strategy.game, random.Random(seed)
+        for _ in range(assignments):
+            colors = {v: rng.randrange(game.h(v)) for v in game.graph.vertices}
+            for v in game.graph.vertices:
+                recorded = _Recording(colors)
+                assert strategy.guess(v, recorded) == strategy.guess(v, colors), v
+                assert recorded.read <= set(game.graph.adjacency[v]), (v, recorded.read - set(game.graph.adjacency[v]))
+
+    def test_trap(self, k5minus_composed):
+        self._assert_reads_neighbors_only(k5minus_composed.strategy, 1)
+
+    def test_cone(self, game26666_composed):
+        self._assert_reads_neighbors_only(game26666_composed.strategy, 3)
+
+    def test_trefoil_and_its_lowering(self, trefoil_composed):
+        from hats.constructors import lower_to
+
+        self._assert_reads_neighbors_only(trefoil_composed.strategy, 4)
+        lowered = lower_to(trefoil_composed, {"O": 6}).strategy
+        assert lowered.kind == "majorize-adapter"
+        self._assert_reads_neighbors_only(lowered, 5)
+
+    def test_windmill(self):
+        from hats.constructors import windmill
+
+        self._assert_reads_neighbors_only(windmill(3, 3).strategy, 6)
+
+    def test_planar14(self, planar14_composed):
+        # Every vertex: the apex O, the 52 attachments and the interiors.
+        self._assert_reads_neighbors_only(planar14_composed.strategy, 7, assignments=1)
+
+    def test_solver_table(self):
+        from hats.solver import solve_exact
+
+        names = ("v0", "v1", "v2", "v3")
+        game = Game(Graph(names, [(names[i], names[(i + 1) % 4]) for i in range(4)]), dict.fromkeys(names, 3))
+        result = solve_exact(game)
+        assert result.strategy is not None
+        self._assert_reads_neighbors_only(result.strategy, 8)
+
+    def test_deep_cone_and_adapter_chain(self):
+        self._assert_reads_neighbors_only(cone_and_adapter_chain()[0].strategy, 9)
+
+
 class TestDeepScalarPath:
     """The scalar reference path answers composites nested far past the
     interpreter's recursion limit: every sub-guess is asked for in one loop."""
@@ -867,23 +950,18 @@ class TestDeepScalarPath:
         picks = {0, 1, len(verts) // 2, len(verts) - 1, *random.Random(5).sample(range(len(verts)), 4)}
         for col in range(colors.shape[1]):
             assignment = {v: int(colors[i, col]) for i, v in enumerate(verts)}
-            for i in sorted(picks):
+            # Every vertex on the first assignment, the picks on the others.
+            for i in range(len(verts)) if col == 0 else sorted(picks):
                 assert strategy.guess(verts[i], assignment) == int(rows[i][col]), (col, verts[i][-12:])
 
     def test_deep_cone_and_adapter_chain_against_compiled_rows(self):
-        # Rounds of product with a K2, lowering the glued vertex back to 2
-        # and a one-petal cone over clique[1]: 150 nested levels, past what
-        # the DSL accepts, with every hatness 2, so the chain also compiles.
+        # 150 nested levels, past what the DSL accepts, with every hatness
+        # 2, so the chain also compiles.
         # A vertex's name gains a prefix per level around it, so the names
         # span the first level (v1 of the innermost K2) to the last (O).
-        from hats.constructors import PetalSpec, clique_game, cone, lower_to, product
         from hats.dsl import MAX_NESTING
 
-        chain, levels = clique_game([2, 2]), 0
-        while levels < 150:
-            chain = product(clique_game([2, 2]), chain, "v1", chain.game.graph.vertices[0])
-            chain = cone(clique_game([1]), [PetalSpec(lower_to(chain, {"v1": 2}), "v1", "L/v0")])
-            levels += 3
+        chain, levels = cone_and_adapter_chain()
         assert levels > MAX_NESTING
         game, strategy = chain.game, chain.strategy
         assert set(game.hat_tuple) == {2}

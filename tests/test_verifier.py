@@ -257,6 +257,28 @@ class TestBoundedSweep:
             verify_exhaustive(game, AlwaysWrong(game), limit=2 ** 70, jobs=2)
         assert err.value.size == 2 ** 65
 
+    @pytest.mark.parametrize("value", [True, 2.5, "2"])
+    @pytest.mark.parametrize("name", ["samples", "seed", "jobs", "limit", "chunk", "max_nodes"])
+    def test_non_integer_arguments_refused(self, name, value):
+        from hats.solver import SearchBudget
+
+        game = clique([2, 2])
+        strategy = clique_strategy(game)
+        calls = {
+            "samples": [lambda x: verify_sampled(game, strategy, x, 0)],
+            "seed": [lambda x: verify_sampled(game, strategy, 4, x)],
+            "jobs": [lambda x: verify_exhaustive(game, strategy, jobs=x),
+                     lambda x: verify_sampled(game, strategy, 4, 0, jobs=x)],
+            "limit": [lambda x: verify_exhaustive(game, strategy, limit=x),
+                      lambda x: win_histogram(game, strategy, limit=x)],
+            "chunk": [lambda x: verify_exhaustive(game, strategy, chunk=x),
+                      lambda x: win_histogram(game, strategy, chunk=x)],
+            "max_nodes": [lambda x: SearchBudget(max_nodes=x)],
+        }
+        for call in calls[name]:
+            with pytest.raises(ContractError, match=f"{name} must be an integer"):
+                call(value)
+
     def test_nonpositive_chunk_refused(self):
         game = clique([2, 2])
         with pytest.raises(ContractError):
