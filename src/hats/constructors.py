@@ -194,7 +194,7 @@ def _glued_parts(g1: Game, g2: Game, a1: str, a2: str, axis_hatness: int):
     edges = [(inv_left[x], inv_left[y]) for x, y in g1.graph.edges]
     edges += [(inv_right[x], inv_right[y]) for x, y in g2.graph.edges]
     game = Game(Graph(order, edges), dict(zip(order, hats)))
-    return game, tuple(range(len(g1.graph.vertices))), tuple(right_rows), inv_left, inv_right
+    return game, range(len(g1.graph.vertices)), tuple(right_rows), inv_left, inv_right
 
 
 def _largest_face(faces) -> Optional[embedding.Face]:

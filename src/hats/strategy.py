@@ -21,10 +21,14 @@ Every strategy exposes two evaluation paths:
   ``_row`` instead).  A composite's ``guesses_batch`` runs its program;
   the sweep verifier hands each block to ``Strategy._correct_counts``,
   which counts the program's rows one at a time, so a sweep holds one row
-  of guesses, not V.  Inside a program each form keeps its guesses in the
-  narrowest unsigned dtype that holds the largest one it can give (uint8
-  for every trefoil form); ``Program.rows``, and so ``guesses_batch``,
-  widens them to uint64.
+  of guesses, not V.  A form's digits may be arrays of any shapes that
+  broadcast together, and its row takes their broadcast shape: a drawn
+  block's digits are rows of one length, while an exhaustive block's lie
+  along the axes of a box (see ``verifier``), so a form makes only as much
+  as the rows it reads span.  Inside a program each form keeps its
+  guesses in the narrowest unsigned dtype that holds the largest one it
+  can give (uint8 for every trefoil form); ``Program.rows``, and so
+  ``guesses_batch``, widens them to uint64.
 
 The two paths are implemented independently and the test suite checks
 them against each other exhaustively on small games and on random
@@ -38,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from importlib import resources
 from typing import Generator, Iterator, Mapping, Sequence
 
@@ -608,7 +612,9 @@ def adapt_majorized(strategy: Strategy, lower: Mapping[str, int]) -> AdaptedStra
 # A digit (row, steps) is a row's color passed through each (div, mod) step,
 # x -> x // div % mod (no remainder where mod is None); (row, ()) is the
 # color itself.  A form maps the unsigned values of its digits to one row of
-# guesses.  Its ``top`` is the largest guess it can give, or None where that
+# guesses, shaped as their broadcast; it is called with the block's whole
+# shape too, which only a form with no digits, and a Leaf, reads.  Its
+# ``top`` is the largest guess it can give, or None where that
 # is unknown; its row is in the narrowest unsigned dtype that holds ``top``,
 # or uint64.  ``Program.rows`` widens every row to uint64.
 
@@ -642,16 +648,25 @@ class Gather:
         self.top = int(self.table.max())
         self.key_dtype = np.min_scalar_type(max((len(table), *weights)))
 
-    def __call__(self, values, n: int) -> np.ndarray:
-        key = None if self.digits else np.zeros(n, dtype=self.key_dtype)
+    def __call__(self, values, shape) -> np.ndarray:
+        key = None if self.digits else np.zeros(shape, dtype=self.key_dtype)
         for d, w in zip(self.digits, self.weights):
             if key is None:
                 key = np.multiply(values[d], w, dtype=self.key_dtype, casting="unsafe")
-            elif w == 1:
-                np.add(key, values[d], out=key, dtype=self.key_dtype, casting="unsafe")
-            else:
-                np.add(key, np.multiply(values[d], w, dtype=self.key_dtype, casting="unsafe"), out=key)
+                continue
+            term = values[d] if w == 1 else np.multiply(values[d], w, dtype=self.key_dtype, casting="unsafe")
+            # In place while the key keeps its shape; a broadcast sum grows it.
+            key = np.add(key, term, out=_into(key, term), dtype=self.key_dtype, casting="unsafe")
         return np.take(self.table, key)
+
+
+def _into(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """``a`` where an elementwise result of a and b fits in it (b
+    broadcasts to a's shape), else None: a new array of the broadcast
+    shape."""
+    if a.shape == b.shape or a.ndim == b.ndim and all(m in (1, n) for n, m in zip(a.shape, b.shape)):
+        return a
+    return None
 
 
 class Sum:
@@ -669,15 +684,18 @@ class Sum:
         self.dtype = _holding(None if total is None else max(total, *places))
         self.top = total if total is None or limit is None else min(total, limit - 1)
 
-    def __call__(self, values, n: int) -> np.ndarray:
-        total = reduce(np.add, (np.multiply(f(values, n), p, dtype=self.dtype)
-                                for p, f in zip(self.places, self.parts)))
+    def __call__(self, values, shape) -> np.ndarray:
+        total = None
+        for p, f in zip(self.places, self.parts):
+            term = np.multiply(f(values, shape), p, dtype=self.dtype)
+            total = term if total is None else np.add(total, term, out=_into(total, term))
         return total if self.limit is None else np.where(total < self.limit, total, 0)
 
 
 class Select:
     """The choice at the first hit whose form equals its digit, else the
-    first, in a row that holds every choice."""
+    first, in a row that holds every choice and takes the broadcast shape
+    of the hits and choices."""
 
     def __init__(self, hits: tuple, choices: tuple):
         self.hits, self.choices = hits, choices  # hits: (form, digit) pairs
@@ -687,29 +705,60 @@ class Select:
         self.top = None if None in tops else max(tops)
         self.dtype = _holding(self.top)
 
-    def __call__(self, values, n: int) -> np.ndarray:
+    def __call__(self, values, shape) -> np.ndarray:
         # The last hit writes first and the first hit last, one choice alive at a time.
-        first = self.choices[0](values, n)
+        first = self.choices[0](values, shape)
         out = first.astype(self.dtype)
         for i in reversed(range(len(self.hits))):
-            (form, d), choice = self.hits[i], first if i == 0 else self.choices[i](values, n)
-            np.copyto(out, choice, where=form(values, n) == values[d])
+            (form, d), choice = self.hits[i], first if i == 0 else self.choices[i](values, shape)
+            hit = form(values, shape) == values[d]
+            if not out.shape == hit.shape == choice.shape:
+                grown = np.broadcast_shapes(out.shape, hit.shape, choice.shape)
+                if grown != out.shape:
+                    out = np.broadcast_to(out, grown).copy()
+            np.copyto(out, choice, where=hit)
         return out
 
 
 class Leaf:
     """A leaf vertex as its leaf's own row (``Strategy._row``), fed its
-    neighbors' digits and 0 on every other row; kept only where too wide
-    to tabulate."""
+    neighbors' digits, broadcast to the block and raveled, and 0 on every
+    other row; kept only where too wide to tabulate."""
 
     def __init__(self, strategy: Strategy, inputs: tuple, index: int):
         self.strategy, self.inputs, self.index = strategy, inputs, index  # a digit or None per row
         self.digits = tuple(d for d in inputs if d is not None)
         self.top = None
 
-    def __call__(self, values, n: int) -> np.ndarray:
-        rows = [np.zeros(n, dtype=U) if d is None else values[d] for d in self.inputs]
-        return self.strategy._row(self.index, rows)
+    def __call__(self, values, shape) -> np.ndarray:
+        zeros = np.zeros(shape, dtype=U).reshape(-1)
+        rows = [zeros if d is None else np.broadcast_to(values[d], shape).reshape(-1) for d in self.inputs]
+        return self.strategy._row(self.index, rows).reshape(shape)
+
+
+class Known:
+    """A form whose row is already made: a part that every block of a sweep
+    shares, evaluated once (see :func:`_settled`)."""
+
+    def __init__(self, form, row: np.ndarray):
+        self.digits, self.top, self.row = form.digits, form.top, row
+
+    def __call__(self, values, shape) -> np.ndarray:
+        return self.row
+
+
+def _settled(form, known):
+    """``form`` with each part for which ``known(part)`` gives a row (not
+    None) replaced by that row, as a :class:`Known`."""
+    row = known(form)
+    if row is not None:
+        return Known(form, row)
+    if isinstance(form, Sum):
+        return Sum(form.places, tuple(_settled(f, known) for f in form.parts), form.limit)
+    if isinstance(form, Select):
+        return Select(tuple((_settled(f, known), d) for f, d in form.hits),
+                      tuple(_settled(f, known) for f in form.choices))
+    return form
 
 
 class Program:
@@ -739,7 +788,7 @@ class Program:
     def rows(self, colors: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
         """Each vertex's row of guesses, in order, made when it is asked for."""
         values, n = self.values(colors), len(colors[0])
-        return (form(values, n).astype(U, copy=False) for form in self.forms)
+        return (form(values, (n,)).astype(U, copy=False) for form in self.forms)
 
 
 def _compile(root: Strategy) -> list:
@@ -764,7 +813,7 @@ def _compile(root: Strategy) -> list:
             return form
         values = dict.fromkeys(form.digits, np.zeros(places[-1], dtype=U))
         values.update(zip(digits, np.indices(spans[::-1], dtype=U).reshape(len(spans), places[-1])[::-1]))
-        return Gather(form(values, places[-1]), tuple(digits), tuple(places[:-1]))
+        return Gather(form(values, (places[-1],)), tuple(digits), tuple(places[:-1]))
 
     return drive(root._compiled(tuple((row, ()) for row in range(len(hats))), tabulated),
                  lambda part, digits: part._compiled(digits, tabulated))
@@ -805,7 +854,7 @@ class ProductStrategy(_Composite):
     game: Game
     left: Strategy
     right: Strategy
-    left_rows: tuple[int, ...]   # row of each left-factor vertex
+    left_rows: Sequence[int]     # row of each left-factor vertex: a range, from row 0
     right_rows: tuple[int, ...]  # row of each right-factor vertex
     kind = "product"
 

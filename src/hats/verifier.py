@@ -2,32 +2,36 @@
 
 One sweep loop serves all three entry points.  A source hands each block
 of consecutive indices to the strategy's per-block hook
-(``Strategy._correct_counts``), which counts the correct guesses in each
-column with its compiled program; the block returns its histogram of
-those counts and its lowest counterexample.  Worker threads run the
-blocks and the calling thread merges the results in block order, so
-memory stays at one block per worker and the first counterexample merged
-is the lowest-index one; the sweep stops there.  The report names the
-lowest-index counterexample, sets ``checked`` to its index + 1, and is
-identical across chunk sizes and job counts.
+(``Strategy._correct_counts``), which counts the correct guesses at each
+assignment with its compiled program.  A verify sweep reduces each block
+to its least count and its first assignment nobody guesses; a histogram
+sweep to its histogram of counts.  Worker threads run the blocks and the
+calling thread merges the results in block order, so memory stays at one
+block per worker and the first counterexample merged is the lowest-index
+one; the sweep stops there.  The report names the lowest-index
+counterexample, sets ``checked`` to its index + 1, and is identical across
+chunk sizes and job counts.
 
 Exhaustive sources read the assignment index (mixed radix, first vertex
-least significant, so ``limit`` is clamped to 2**64) as periodic rows:
-row i's color at index t is (t // place_i) % h_i, which repeats every
-place_i * h_i indices.  Each row whose period is at most TILE_PERIOD, and
-each digit a program reads of it, is one tile per sweep in the narrowest
-unsigned dtype, one period plus one block long, so a block reads it as a
-slice.  A row with a longer period is built per block from the runs of
-equal quotients t // place_i, with np.repeat.  No tile grows with the
-color space.  The leading rows whose hatnesses multiply to P at most
-TILE_PERIOD (and at most one block) settle every sage whose own row and
-inputs lie among them, as a function of t mod P; the correct guesses of
-those sages are counted once per sweep, and each block evaluates only the
-rest.  Tiles and those counts are one period repeated with np.tile, made
-by the sweep's first block, which runs in the calling thread before any
-worker starts.  The program's rows stay in the narrow dtypes of its forms
-(see ``strategy``), so a block compares narrow guesses with narrow
-colors.  A counterexample is decoded exactly from its index.
+least significant, so ``limit`` is clamped to 2**64) as a box plan.  The
+leading rows whose hatnesses multiply to P at most one block are full
+axes; the next row is cut into runs of block // P colors; each row above
+it is fixed within a block and decoded from the block's start as a Python
+int.  A block is a box, an array with one axis per full row and one for
+the run, so no index is ever divided and no row is tiled: a digit of a
+full row is its hatness's arange along its axis, one of the run is the
+run's colors, one of a fixed row is a single element, and each form
+broadcasts over only the axes it reads.  The axes are laid out with the
+rows most sages read outermost, so a row broadcast against a whole block
+runs numpy's inner loop over the other rows; a block's counts are read in
+index order through a transpose.  What reads only full rows is the same
+in every block and is made once per sweep by its first block, which runs
+in the calling thread before any worker starts: the full rows' digits,
+the correct guesses of the sages that read nothing else, and each part of
+a form that reads nothing else (see ``strategy._settled``).  The
+program's rows stay in the narrow dtypes of its forms (see
+``strategy``), so a block compares narrow guesses with narrow colors.  A
+counterexample is decoded exactly from its index.
 
 Sampled verification draws colors with the Philox counter-based
 generator so reports are reproducible: sample s of vertex i consumes the
@@ -50,22 +54,18 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .core import Assignment, CapacityError, ContractError, Game, assignment_at, require_int
-from .strategy import Program, Strategy, _narrow, _steps
+from .strategy import Program, Strategy, _into, _narrow, _settled, _steps
 
 DEFAULT_LIMIT = 2 ** 64
 MAX_JOBS = 256
 CHUNK = 1 << 16
 SAMPLE_BLOCK = 1 << 14
 PHILOX_DRAW = 1 << 11  # samples drawn at once: keeps the raw words small next to the colors
-# Longest period of a row read from a tile, and of the leading rows whose
-# sages are counted once per sweep: a tile stays within one default block
-# plus one block.
-TILE_PERIOD = CHUNK
 
 
 @dataclass
@@ -117,108 +117,154 @@ def _index_space(game: Game, limit: int, what: str) -> int:
     return total
 
 
-def _tally(counts: np.ndarray, rows, values: dict) -> np.ndarray:
-    """Add to ``counts`` the correct guesses of each (form, colors) row."""
-    for form, color in rows:
-        counts += form(values, len(counts)) == color
-    return counts
+def _summed(parts, shape: tuple, dtype) -> np.ndarray:
+    """The sum of ``parts`` (correct-guess indicators, or sums of them) in
+    ``dtype``, broadcast to ``shape``.  Parts of one shape are summed at
+    that shape; the sums are then added smallest first, in place once the
+    total is a copy of our own."""
+    groups = {}
+    for part in parts:
+        same = groups.get(part.shape)
+        groups[part.shape] = part if same is None else np.add(same, part, dtype=dtype)
+    total = None
+    for part in sorted(groups.values(), key=np.size):
+        if total is None:
+            total = part.astype(dtype)
+        else:
+            total = np.add(total, part, out=_into(total, part), dtype=dtype)
+    return np.zeros(shape, dtype) if total is None else np.broadcast_to(total, shape)
 
 
-def _tiled(period: np.ndarray, length: int) -> np.ndarray:
-    """``period`` repeated to ``length`` entries."""
-    return np.tile(period, -(-length // len(period)))[:length]
+class _Boxes:
+    """The exhaustive index space as box-shaped blocks of at most ``size``
+    indices.  Rows 0 .. k-1, whose hatnesses multiply to P = places[k] <=
+    size, are full axes; row k is cut into runs of ``width`` = size // P
+    colors, its axis; each row above k is fixed within a block, and a full
+    row of hatness 1 takes no axis.  A block's indices are consecutive.
+    Its axes are laid out with the rows that most sages read outermost
+    (ties in index order), so that a row broadcast against a whole block
+    runs numpy's inner loop over the rows it does not vary on; ``order``
+    reads the axes in index order.
 
-
-class _Periodic:
-    """The exhaustive index as periodic rows, for one sweep in blocks of at
-    most ``size`` indices.  Tiles are built when a block first reads them
-    (a sweep's first block, in the calling thread) and shared by every
-    worker.  The first ``prefix`` rows repeat with period P =
-    places[prefix].
-    """
+    The full rows' digits, the correct guesses of the sages that read only
+    full rows, and each part of a form that reads only full rows, are the
+    same in every block: they are made once per sweep, by its first
+    block."""
 
     def __init__(self, game: Game, size: int):
-        self.game, self.size = game, size
-        self.places = (1, *itertools.accumulate(game.hat_tuple, operator.mul))
-        self.count_dtype = np.min_scalar_type(len(game.hat_tuple))
-        self.prefix = 0
-        while self.prefix < len(game.hat_tuple) and self.places[self.prefix + 1] <= min(TILE_PERIOD, size):
-            self.prefix += 1
-        self.period = self.places[self.prefix]
-        self._tiles, self._hoisted = {}, {}
+        hats, graph = game.hat_tuple, game.graph
+        self.game, self.total = game, game.color_space
+        self.places = (1, *itertools.accumulate(hats, operator.mul))
+        k = 0
+        while k < len(hats) and self.places[k + 1] <= size:
+            k += 1
+        self.split, self.width = k, size // self.places[k]
+        rows = [r for r in reversed(range(k + 1)) if r == k or hats[r] > 1]  # k may be len(hats)
+        read = {r: len(graph.adjacency[graph.vertices[r]]) if r < len(hats) else 0 for r in rows}
+        layout = sorted(rows, key=read.get, reverse=True)
+        self.axis = {r: a for a, r in enumerate(layout)}
+        self.order = tuple(self.axis[r] for r in rows)
+        self.shape = tuple(1 if r == k else hats[r] for r in layout)
+        self.blocks = 1 if k == len(hats) else self.total // self.places[k + 1] * -(-hats[k] // self.width)
+        self.count_dtype = np.min_scalar_type(len(hats))
+        self._full, self._hoisted = {}, {}
 
-    def block(self, lo: int, n: int) -> _Slice:
-        return _Slice(self, lo, n)
+    def run(self, lo: int) -> tuple[int, int]:
+        """The first color of the split row in the block at ``lo``, and how
+        many it holds."""
+        if self.split == len(self.game.hat_tuple):
+            return 0, 1
+        h = self.game.hat_tuple[self.split]
+        first = lo // self.places[self.split] % h
+        return first, min(self.width, h - first)
 
-    def digit(self, digit, lo: int, n: int) -> np.ndarray:
-        """A digit's values at indices lo .. lo + n - 1, narrow unsigned."""
-        row, steps = digit
-        place, h = self.places[row], self.game.hat_tuple[row]
-        if place * h <= TILE_PERIOD:
-            tile = self._tiles.get(digit)
-            if tile is None:
-                lut = _narrow(_steps(np.arange(h, dtype=np.uint64), steps))
-                tile = self._tiles.setdefault(digit, _tiled(np.repeat(lut, place), place * h + self.size))
-            start = lo % (place * h)
-            return tile[start:start + n]
-        # Quotients first .. last, each held for a run of up to ``place`` indices.
-        first, last = lo // place, (lo + n - 1) // place
-        runs = np.arange(last - first + 1, dtype=np.uint64) + np.uint64(first)
-        if last >= h:  # else every quotient is its own color, and h may be 2**64
-            runs %= np.uint64(h)
-        lengths = np.full(len(runs), min(place, n), dtype=np.intp)
-        lengths[0] = min(n, (first + 1) * place - lo)
-        if last > first:
-            lengths[-1] = lo + n - last * place
-        return np.repeat(_narrow(_steps(runs, steps)), lengths)
+    def starts(self) -> Iterator[int]:
+        lo = 0
+        while lo < self.total:
+            yield lo
+            lo += self.run(lo)[1] * self.places[self.split]
 
-    def hoisted(self, program: Program) -> tuple[Optional[np.ndarray], frozenset]:
-        """The rows of the sages settled by the prefix rows, and their
-        correct guesses at every index mod P, tiled to P + size (None when
-        there are none)."""
+    def block(self, lo: int) -> _Box:
+        return _Box(self, lo)
+
+    def along(self, row: int, colors: np.ndarray, steps) -> np.ndarray:
+        """A digit of ``colors`` of ``row``, narrow, along the row's axis."""
+        shape = [1] * len(self.shape)
+        if row in self.axis:
+            shape[self.axis[row]] = -1
+        return _narrow(_steps(colors, steps)).reshape(shape)
+
+    def full(self, digit) -> np.ndarray:
+        """A full row's digit, made once per sweep."""
+        got = self._full.get(digit)
+        if got is None:
+            row, steps = digit
+            colors = np.arange(self.game.hat_tuple[row], dtype=np.uint64)
+            got = self._full.setdefault(digit, self.along(row, colors, steps))
+        return got
+
+    def hoisted(self, program: Program) -> tuple[Optional[np.ndarray], tuple]:
+        """The correct guesses, at the full rows' shape, of the sages that
+        read only full rows (None when there are none), and (row, form) of
+        each other sage, with the parts that read only full rows made."""
         got = self._hoisted.get(program)
         if got is None:
-            k = self.prefix
-            rows = frozenset(i for i, form in enumerate(program.forms[:k])
-                             if all(row < k for row, _ in form.digits))
-            tile = None
-            if rows:
-                block = self.block(0, self.period)
-                counts = _tally(np.zeros(self.period, self.count_dtype),
-                                ((program.forms[i], block[i, ()]) for i in sorted(rows)), block)
-                tile = _tiled(counts, self.period + self.size)
-            got = self._hoisted.setdefault(program, (tile, rows))
+            values = self.block(0)
+
+            def known(form) -> Optional[np.ndarray]:
+                return form(values, self.shape) if all(row < self.split for row, _ in form.digits) else None
+
+            hits, rest = [], []
+            for i, form in enumerate(program.forms):
+                row = known(form) if i < self.split else None
+                if row is None:
+                    rest.append((i, _settled(form, known)))
+                else:
+                    hits.append(row == values[i, ()])
+            counts = _summed(hits, self.shape, self.count_dtype) if hits else None
+            got = self._hoisted.setdefault(program, (counts, tuple(rest)))
         return got
 
 
-class _Slice(dict):
-    """Indices lo .. lo + n - 1 of an exhaustive sweep, as the digits its
-    forms read; each is made when first read."""
+class _Box(dict):
+    """The block of an exhaustive sweep that starts at index ``lo``, as the
+    digits its forms read; each is made when first read.  A digit of a full
+    row lies along its axis, one of the split row is the block's run of its
+    colors along that row's axis, and one of a fixed row is one element."""
 
-    def __init__(self, source: _Periodic, lo: int, n: int):
-        super().__init__()
-        self.source, self.lo, self.n = source, lo, n
+    def __init__(self, boxes: _Boxes, lo: int):
+        super().__init__(boxes._full)
+        self.boxes, self.lo, self.order = boxes, lo, boxes.order
+        self.first, run = boxes.run(lo)
+        shape = list(boxes.shape)
+        shape[boxes.axis[boxes.split]] = run
+        self.shape = tuple(shape)
 
     def __missing__(self, digit) -> np.ndarray:
-        self[digit] = got = self.source.digit(digit, self.lo, self.n)
+        row, steps = digit
+        boxes = self.boxes
+        if row < boxes.split:
+            got = boxes.full(digit)
+        elif row == boxes.split:
+            got = boxes.along(row, np.arange(self.shape[boxes.axis[row]], dtype=np.uint64)
+                              + np.uint64(self.first), steps)
+        else:
+            color = self.lo // boxes.places[row] % boxes.game.hat_tuple[row]
+            got = boxes.along(row, np.array([color], dtype=np.uint64), steps)
+        self[digit] = got
         return got
 
     @property
     def colors(self) -> list[np.ndarray]:
-        return [self[i, ()] for i in range(len(self.source.game.hat_tuple))]
+        return [self[i, ()] for i in range(len(self.boxes.game.hat_tuple))]
 
     def count(self, program: Program) -> np.ndarray:
-        tile, hoisted = self.source.hoisted(program)
-        if tile is None:
-            counts = np.zeros(self.n, self.source.count_dtype)
-        else:
-            start = self.lo % self.source.period
-            counts = tile[start:start + self.n].copy()
-        rows = ((form, self[i, ()]) for i, form in enumerate(program.forms) if i not in hoisted)
-        return _tally(counts, rows, self)
+        counts, rest = self.boxes.hoisted(program)
+        hits = [form(self, self.shape) == self[i, ()] for i, form in rest]
+        return _summed(hits if counts is None else [counts, *hits], self.shape, self.boxes.count_dtype)
 
     def assignment(self, col: int) -> Assignment:
-        return assignment_at(self.source.game, self.lo + col)
+        return assignment_at(self.boxes.game, self.lo + col)
 
 
 class _Drawn:
@@ -226,20 +272,48 @@ class _Drawn:
     vertex i's."""
 
     def __init__(self, game: Game, colors: np.ndarray):
-        self.game, self.colors, self.n = game, colors, colors.shape[1]
+        self.game, self.colors, self.shape, self.order = game, colors, colors.shape[1:], (0,)
 
     def count(self, program: Program) -> np.ndarray:
-        counts = np.zeros(self.n, np.min_scalar_type(len(self.colors)))
-        return _tally(counts, zip(program.forms, self.colors), program.values(self.colors))
+        counts = np.zeros(self.shape, np.min_scalar_type(len(self.colors)))
+        values = program.values(self.colors)
+        for form, color in zip(program.forms, self.colors):
+            counts += form(values, self.shape) == color
+        return counts
 
     def assignment(self, col: int) -> Assignment:
         return {v: int(c) for v, c in zip(self.game.graph.vertices, self.colors[:, col])}
 
 
+class _Samples:
+    """Samples 0 .. total - 1 of the seeded Philox stream, in blocks of
+    SAMPLE_BLOCK."""
+
+    def __init__(self, game: Game, seed: int, total: int):
+        self.game, self.seed, self.total = game, seed, total
+        self.blocks = -(-total // SAMPLE_BLOCK)
+
+    def starts(self) -> range:
+        return range(0, self.total, SAMPLE_BLOCK)
+
+    def block(self, lo: int) -> _Drawn:
+        return _Drawn(self.game, _sample_block(self.game, self.seed, lo, min(SAMPLE_BLOCK, self.total - lo)))
+
+
 def decode_block(game: Game, lo: int, size: int) -> np.ndarray:
-    """The (V, size) uint64 colors at indices lo .. lo + size - 1, read
-    the way the exhaustive sweep reads them."""
-    return np.array(_Periodic(game, size).block(lo, size).colors, dtype=np.uint64)
+    """The (V, size) uint64 colors at indices lo .. lo + size - 1, decoded
+    exactly: row i is index // place_i % h_i, and 0 where place_i is 2**64
+    or more."""
+    index = np.arange(size, dtype=np.uint64) + np.uint64(lo)
+    colors = np.zeros((len(game.hat_tuple), size), dtype=np.uint64)
+    place = 1
+    for row, h in zip(colors, game.hat_tuple):
+        if place < 2 ** 64:
+            np.floor_divide(index, np.uint64(place), out=row)
+            if h < 2 ** 64:  # else the quotient is below h already
+                row %= np.uint64(h)
+        place *= h
+    return colors
 
 
 def _sample_block(game: Game, seed: int, lo: int, size: int) -> np.ndarray:
@@ -265,8 +339,8 @@ def _sample_block(game: Game, seed: int, lo: int, size: int) -> np.ndarray:
 def _in_order(run_block: Callable, starts, workers: int):
     """``run_block`` of every start, in start order.  The first block runs
     in the calling thread, so what a sweep makes once (the compiled
-    program, tiles, hoisted counts) is made there, before any worker
-    starts.  Several workers then keep up to ``2 * workers`` blocks
+    program, full-row digits, hoisted counts) is made there, before any
+    worker starts.  Several workers then keep up to ``2 * workers`` blocks
     submitted; closing cancels those not yet started."""
     starts = iter(starts)
     yield from map(run_block, itertools.islice(starts, 1))
@@ -286,52 +360,58 @@ def _in_order(run_block: Callable, starts, workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _sweep(game: Game, strategy: Strategy, source: Callable, total: int, size: int,
-           jobs: Optional[int], stop_at_zero: bool):
-    """Histogram of correct counts over the blocks of [0, total) swept,
-    and, with ``stop_at_zero``, (index, assignment) of the lowest index
-    nobody guesses, where the sweep ends, or None.
-
-    ``source(lo, n)`` gives the block of indices lo .. lo + n - 1.
-    """
+def _sweep(game: Game, strategy: Strategy, source, jobs: Optional[int], tally: Callable):
+    """``tally(lo, block, counts)`` of each block of ``source``, in index
+    order, where ``counts`` holds how many sages guess right at each
+    assignment of the block, in the block's shape."""
     if strategy.game != game:
         raise ContractError("strategy was built for a different game")
-    if size < 1:
-        raise ContractError(f"block size must be positive, got {size}")
-    verts = game.graph.vertices
 
     def run_block(lo: int):
         # A call of its own frees the block's arrays before the next draw.
-        block = source(lo, min(size, total - lo))
-        counts = strategy._correct_counts(block)
-        local = np.bincount(counts, minlength=len(verts) + 1)
-        zero = None
-        if local[0]:
-            col = int(np.argmin(counts))
-            zero = (lo + col, block.assignment(col))
-        return local, zero
+        block = source.block(lo)
+        return tally(lo, block, np.broadcast_to(strategy._correct_counts(block), block.shape))
 
-    hist = np.zeros(len(verts) + 1, dtype=np.int64)
-    workers = min(resolve_jobs(jobs), -(-total // size))
-    with closing(_in_order(run_block, range(0, total, size), workers)) as results:
-        for local, zero in results:
-            hist += local
-            if zero and stop_at_zero:
-                return hist, zero
-    return hist, None
+    return _in_order(run_block, source.starts(), min(resolve_jobs(jobs), source.blocks))
 
 
-def _verify(mode: str, game: Game, strategy: Strategy, source: Callable, total: int,
-            size: int, jobs: Optional[int]) -> VerifyReport:
+def _least(lo: int, block, counts: np.ndarray) -> tuple:
+    """A block's least count, and (index, assignment) of its first
+    assignment that nobody guesses, or None."""
+    least = int(counts.min())
+    if least:
+        return least, None
+    col = int(np.argmin(counts.transpose(block.order)))
+    return 0, (lo + col, block.assignment(col))
+
+
+def _bincount(lo: int, block, counts: np.ndarray) -> np.ndarray:
+    """A block's histogram of counts."""
+    return np.bincount(counts.reshape(-1))
+
+
+def _verify(mode: str, game: Game, strategy: Strategy, source, jobs: Optional[int]) -> VerifyReport:
     start = time.perf_counter()
-    hist, zero = _sweep(game, strategy, source, total, size, jobs, stop_at_zero=True)
+    low, zero = len(game.hat_tuple), None
+    with closing(_sweep(game, strategy, source, jobs, _least)) as results:
+        for least, zero in results:
+            low = min(low, least)
+            if zero:
+                break
     return VerifyReport(
         mode=mode,
-        checked=total if zero is None else zero[0] + 1,
+        checked=source.total if zero is None else zero[0] + 1,
         counterexample=None if zero is None else zero[1],
-        min_correct=int(np.flatnonzero(hist)[0]),
+        min_correct=low,
         seconds=time.perf_counter() - start,
     )
+
+
+def _boxes(game: Game, limit: int, chunk: int, what: str) -> _Boxes:
+    total, chunk = _index_space(game, limit, what), require_int("chunk", chunk)
+    if chunk < 1:
+        raise ContractError(f"block size must be positive, got {chunk}")
+    return _Boxes(game, min(chunk, total))
 
 
 def verify_exhaustive(game: Game, strategy: Strategy, *,
@@ -346,9 +426,7 @@ def verify_exhaustive(game: Game, strategy: Strategy, *,
     number of simultaneously correct guesses over all assignments; with
     one, ``checked`` is its index + 1 and ``min_correct`` is 0.
     """
-    total, chunk = _index_space(game, limit, "exhaustive verification"), require_int("chunk", chunk)
-    return _verify("exhaustive", game, strategy, _Periodic(game, min(chunk, total)).block,
-                   total, chunk, jobs)
+    return _verify("exhaustive", game, strategy, _boxes(game, limit, chunk, "exhaustive verification"), jobs)
 
 
 def verify_sampled(game: Game, strategy: Strategy, samples: int, seed: int, *,
@@ -372,10 +450,7 @@ def verify_sampled(game: Game, strategy: Strategy, samples: int, seed: int, *,
         raise CapacityError(
             f"hatness {top} is too large for sampling: exact up to 2**32", top
         )
-    def source(lo: int, n: int) -> _Drawn:
-        return _Drawn(game, _sample_block(game, seed, lo, n))
-
-    return _verify("sampled", game, strategy, source, samples, SAMPLE_BLOCK, jobs)
+    return _verify("sampled", game, strategy, _Samples(game, seed, samples), jobs)
 
 
 def win_histogram(game: Game, strategy: Strategy, *,
@@ -386,7 +461,9 @@ def win_histogram(game: Game, strategy: Strategy, *,
 
     Bucket 0 is empty exactly when the strategy wins.
     """
-    total, chunk = _index_space(game, limit, "a win histogram"), require_int("chunk", chunk)
-    hist, _ = _sweep(game, strategy, _Periodic(game, min(chunk, total)).block, total, chunk,
-                     jobs, stop_at_zero=False)
+    boxes = _boxes(game, limit, chunk, "a win histogram")
+    hist = np.zeros(len(game.hat_tuple) + 1, dtype=np.int64)
+    with closing(_sweep(game, strategy, boxes, jobs, _bincount)) as results:
+        for local in results:
+            hist[:len(local)] += local
     return {count: int(freq) for count, freq in enumerate(hist) if freq}

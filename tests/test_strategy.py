@@ -324,10 +324,10 @@ def test_standalone_leaf_compiles_from_its_rows(kind, monkeypatch):
 
 @pytest.mark.parametrize("name", ["trefoil", "planar14"])
 def test_every_digit_is_unsigned(name, monkeypatch):
-    # The compile grid, drawn colors and sweep tiles all hold unsigned
+    # The compile grid, drawn colors and sweep blocks all hold unsigned
     # digits, so a form compares a uint64 guess with a digit exactly.
     from hats import constructors
-    from hats.verifier import CHUNK, _Periodic, _sample_block
+    from hats.verifier import CHUNK, _Boxes, _sample_block
 
     grid = []
     for form in (Gather, Select, Leaf):
@@ -343,8 +343,9 @@ def test_every_digit_is_unsigned(name, monkeypatch):
     assert {value.dtype.kind for value in drawn.values()} == {"u"}
     digits = {d for form in program.forms for d in form.digits}
     assert any(steps == () for _, steps in digits)
-    for lo in (0, 3 * CHUNK + 11):
-        block = _Periodic(composed.game, CHUNK).block(lo, 1000)
+    boxes = _Boxes(composed.game, CHUNK)
+    for lo in itertools.islice(boxes.starts(), 0, 4, 3):
+        block = boxes.block(lo)
         assert {block[d].dtype.kind for d in digits} == {"u"}
         assert {row.dtype.kind for row in block.colors} == {"u"}
 
@@ -808,9 +809,9 @@ class TestCompiledAgainstScalar:
 
     def test_narrow_gather_keys_match_intp_keys(self, trefoil_composed):
         # A gather sums its key in the narrowest dtype that holds every index
-        # and weight.  On narrow digits (a sweep block) and on uint64 digits
-        # viewed as intp (a drawn batch) it must pick what an intp key picks.
-        from hats.verifier import _Periodic
+        # and weight.  On narrow broadcast digits (a sweep block) and on
+        # uint64 digits (a drawn batch) it must pick what an intp key picks.
+        from hats.verifier import _Boxes
 
         game, program = trefoil_composed.game, trefoil_composed.strategy._program
         gathers, todo = [], list(program.forms)
@@ -824,12 +825,14 @@ class TestCompiledAgainstScalar:
         assert all(g.key_dtype.itemsize < np.dtype(np.intp).itemsize for g in gathers)
         n = 4096
         colors = random_colors(game, np.random.default_rng(14), n)
-        for values in (_Periodic(game, n).block(3 * n, n), program.values(colors)):
+        boxes = _Boxes(game, n)
+        block = boxes.block(next(itertools.islice(boxes.starts(), 3, None)))
+        for values, shape in ((block, block.shape), (program.values(colors), (n,))):
             for g in gathers:
-                key = np.zeros(n, dtype=np.intp)
+                key = np.zeros(shape, dtype=np.intp)
                 for d, w in zip(g.digits, g.weights):
-                    key += values[d].astype(np.intp) * w
-                np.testing.assert_array_equal(g(values, n), g.table[key])
+                    key = key + values[d].astype(np.intp) * w
+                np.testing.assert_array_equal(np.broadcast_to(g(values, shape), shape), g.table[key])
 
 
 def cone_and_adapter_chain(depth=150):

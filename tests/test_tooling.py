@@ -1,14 +1,18 @@
 """The test configuration itself: checks that a misspelt mark cannot
 silently deselect or skip a test, that the parallel sweep and the solver
 are warning free in a fresh interpreter, that verifying writes nothing to stdout but
-its report, in strict JSON, and that a build's output does not depend on
-the interpreter's hash seed."""
+its report, in strict JSON, that a build's output does not depend on
+the interpreter's hash seed, and that the benchmark's verify workloads
+still give the reports it recorded."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
@@ -119,3 +123,28 @@ def test_build_is_byte_identical_across_hash_seeds(tmp_path):
             assert result.returncode == 0, (text, result.stderr)
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1], text
+
+
+def _bench_workloads():
+    """perfbench/workloads.py, loaded from its file: the benchmark's inputs
+    and the reports it recorded for them (read, never written, here)."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name,seeds", [("sweep-trefoil", range(32)), ("sample-planar14", (0, 1))],
+                         ids=["sweep-trefoil", "sample-planar14"])
+def test_bench_reports_match_the_recorded_ones(name, seeds):
+    # A report that differs fails the benchmark as "outputs incorrect";
+    # this fails first, in the test suite.
+    import hats
+
+    workloads = _bench_workloads()
+    for seed in seeds:
+        workload = workloads.WORKLOADS[name](seed)
+        workload.setup()
+        assert workload.expected is not None, (name, seed)
+        for jobs in (1, 2):
+            assert workloads.report_fields(workload.run(hats, jobs)) == workload.expected, (name, seed, jobs)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -24,10 +25,9 @@ from hats.verifier import (
     CHUNK,
     MAX_JOBS,
     SAMPLE_BLOCK,
-    TILE_PERIOD,
     VerifyReport,
     decode_block,
-    _Periodic,
+    _Boxes,
     verify_exhaustive,
     verify_sampled,
     win_histogram,
@@ -238,8 +238,8 @@ class TestBoundedSweep:
                 assert decoded == assignment_at(game, lo + col)
 
     def test_allocation_bounded_by_one_block(self):
-        # A block holds one narrow row per vertex; no tile may grow with the
-        # 2**64 color space.  One uint64 (V, CHUNK) color matrix would be
+        # A block holds one narrow row per vertex; no array may grow with
+        # the 2**64 color space.  One uint64 (V, CHUNK) color matrix would be
         # twice the bound.
         game = clique([2] * 64)
         tracemalloc.start()
@@ -307,27 +307,60 @@ def bounded_hats(draw):
     return hats
 
 
+def _plan(hats, chunk):
+    """The box plan of clique(hats) at ``chunk`` (clamped to the color
+    space, as the sweep clamps it), and its P, the size of the full rows."""
+    boxes = _Boxes(clique(hats), min(chunk, math.prod(hats)))
+    return boxes, boxes.places[boxes.split]
+
+
+def _block_of(boxes, t):
+    """The block that holds index t: it starts at t with the full rows'
+    digits zeroed and the split row's color rounded down to a multiple of
+    the width."""
+    full = boxes.places[boxes.split]
+    if boxes.split == len(boxes.game.hat_tuple):
+        return boxes.block(0)
+    run = t // full % boxes.game.hat_tuple[boxes.split]
+    return boxes.block(t - t % full - run % boxes.width * full)
+
+
+def _raveled(block, x):
+    """``x`` broadcast to ``block``, its axes in index order, raveled: the
+    value at each index of the block, in index order."""
+    return np.broadcast_to(x, block.shape).transpose(block.order).reshape(-1)
+
+
+SIZES = st.sampled_from([1, 7, 64, 1 << 16])
+
+
 @st.composite
-def decode_cases(draw):
+def plan_cases(draw):
     hats = draw(st.one_of(
         st.just([1, 2 ** 64]),
         st.just([2] * 64 + [1]),  # the last row's place is 2**64
-        st.just([3, 2 ** 20, 2, 5]),  # periods past TILE_PERIOD
+        st.just([3, 2 ** 20, 2, 5]),  # a split row of 2**20 colors
         bounded_hats(),
     ))
+    _, period = _plan(hats, 1 << 16)
+    return hats, draw(st.one_of(SIZES, st.sampled_from([max(period - 1, 1), period, period + 1])))
+
+
+@st.composite
+def decode_cases(draw):
+    hats, chunk = draw(plan_cases())
     total = math.prod(hats)
-    period = _Periodic(clique(hats), CHUNK).period
-    chunk = draw(st.sampled_from(sorted({1, 7, max(period - 1, 1), period, period + 1, 1 << 16})))
     lo = draw(st.one_of(st.integers(0, total - 1), st.integers(max(0, total - 40), total - 1)))
-    n = draw(st.integers(1, min(chunk, total - lo, 48)))
+    n = draw(st.integers(1, min(total - lo, 48)))
     steps = draw(st.lists(st.tuples(st.integers(1, 7), st.one_of(st.none(), st.integers(1, 7))),
                           max_size=2))
     return hats, chunk, lo, n, tuple(steps)
 
 
 class TestPeriodicDecode:
-    """Each row, and each digit a program reads of it, sliced from a tile or
-    repeated from its runs, must equal the exact decode of every index."""
+    """Each row, and each digit a program reads of it, along a full axis, as
+    the split row's run or as a fixed row's one color, must equal the exact
+    decode of every index of the block it belongs to."""
 
     @given(decode_cases())
     @example(([1, 2 ** 64], 1 << 16, 2 ** 64 - 16, 16, ((1, 7),)))
@@ -335,33 +368,54 @@ class TestPeriodicDecode:
     def test_colors_and_digits_match_assignment_at(self, case):
         hats, chunk, lo, n, steps = case
         game = clique(hats)
-        block = _Periodic(game, chunk).block(lo, n)
+        boxes, _ = _plan(hats, chunk)
         want = [assignment_at(game, lo + col) for col in range(n)]
         decoded = decode_block(game, lo, n)
+        blocks = {}
+        for t in range(lo, lo + n):
+            block = _block_of(boxes, t)
+            blocks.setdefault(block.lo, (block, []))[1].append(t)
+        for block, indices in blocks.values():
+            assert block.lo <= indices[0] and indices[-1] < block.lo + math.prod(block.shape)
+            cols = [t - block.lo for t in indices]
+            for i, v in enumerate(game.graph.vertices):
+                color, digit = block[i, ()], block[i, steps]
+                assert color.dtype.kind == digit.dtype.kind == "u"
+                expect = [want[t - lo][v] for t in indices]
+                assert [int(c) for c in _raveled(block, color)[cols]] == expect
+                for div, mod in steps:
+                    expect = [x // div if mod is None else x // div % mod for x in expect]
+                assert [int(x) for x in _raveled(block, digit)[cols]] == expect
         for i, v in enumerate(game.graph.vertices):
-            color = block[i, ()]
-            assert color.dtype.kind == "u"
-            assert [int(c) for c in color] == [a[v] for a in want]
             assert [int(c) for c in decoded[i]] == [a[v] for a in want]
-            digit = block[i, steps]
-            assert digit.dtype.kind == "u"
-            expect = [a[v] for a in want]
-            for div, mod in steps:
-                expect = [x // div if mod is None else x // div % mod for x in expect]
-            assert [int(x) for x in digit] == expect
 
-    def test_tiles_stay_within_a_period_and_a_block(self):
-        game = clique([2] * 64)
-        source = _Periodic(game, CHUNK)
-        for lo in (0, 2 ** 63, 2 ** 64 - CHUNK):
-            block = source.block(lo, CHUNK)
-            assert [len(c) for c in block.colors] == [CHUNK] * 64
-        assert source._tiles and all(len(t) <= TILE_PERIOD + CHUNK for t in source._tiles.values())
+    @given(plan_cases())
+    @example(([1, 2 ** 64], 1 << 16))
+    @example(([2] * 64 + [1], 7))
+    @example(([3, 2 ** 20, 2, 5], 1 << 16))
+    def test_blocks_cover_the_index_range_once_in_order(self, case):
+        # Every block starts where the one before it ends, holds at most
+        # chunk indices, and the last ends at the color space; a plan too
+        # long to walk is walked for its first blocks.
+        hats, chunk = case
+        boxes, _ = _plan(hats, chunk)
+        total, end, seen = math.prod(hats), 0, 0
+        for lo in itertools.islice(boxes.starts(), 4096):
+            assert lo == end
+            block = boxes.block(lo)
+            size = math.prod(block.shape)
+            assert 1 <= size <= chunk
+            assert _block_of(boxes, lo + size - 1).lo == lo
+            end, seen = lo + size, seen + 1
+        if boxes.blocks <= 4096:
+            assert (end, seen) == (total, boxes.blocks)
+        else:
+            assert seen == 4096 and end < total
 
 
 def _batch_reference(game, strategy, size=CHUNK):
     """Histogram and lowest zero of the uint64 batch path, decoding every
-    index exactly: independent of tiles and hoisting."""
+    index exactly: independent of the box plan and hoisting."""
     hist, zero = {}, None
     for lo in range(0, game.color_space, size):
         colors = decode_block(game, lo, min(size, game.color_space - lo))
@@ -407,10 +461,16 @@ def _planted(strategy, hoisted):
     return TableStrategy(game, tables), int(col)
 
 
+def _hoisted(boxes, program):
+    """The rows of the sages the plan counts once per sweep."""
+    _, rest = boxes.hoisted(program)
+    return set(range(len(program.forms))) - {i for i, _ in rest}
+
+
 class TestPeriodicSweep:
-    """Hoisted sages are counted once per sweep from the prefix rows;
-    reports and histograms must still equal the oracles for block sizes
-    around P and for blocks that span several periods."""
+    """Sages that read only full rows are counted once per sweep; reports
+    and histograms must still equal the oracles for block sizes around P
+    (the full rows' size) and for blocks cut from the split row."""
 
     @staticmethod
     def _check(game, strategy, reference, chunks):
@@ -433,19 +493,22 @@ class TestPeriodicSweep:
         composed = random_composition(random.Random(seed))
         game, strategy = composed.game, composed.strategy
         assert game.color_space <= 3000
-        period = _Periodic(game, 64).period
-        assert _Periodic(game, 64).hoisted(strategy._program)[1]
-        chunks = sorted({max(period - 1, 1), period, period + 1, 7})
-        self._check(game, strategy, naive_verify(game, strategy), chunks)
+        boxes = _Boxes(game, 64)
+        period = boxes.places[boxes.split]
+        assert _hoisted(boxes, strategy._program)
+        reference = naive_verify(game, strategy)
+        assert _batch_reference(game, strategy) == (reference.histogram, reference.counterexample_index)
+        chunks = sorted({1, 7, max(period - 1, 1), period, period + 1, 1 << 16})
+        self._check(game, strategy, reference, chunks)
 
     def test_planted_counterexample_only_a_hoisted_sage_could_save(self):
         from hats.dsl import elaborate, parse
 
         composed = elaborate(parse("product(clique[2,3,6]@v2, clique[2,3,6]@v0)"))
         game = composed.game
-        source = _Periodic(game, 72)  # P = 2 * 3 * 12
-        hoisted = source.hoisted(composed.strategy._program)[1]
-        assert source.period == 72 and hoisted == {0, 1}
+        boxes = _Boxes(game, 72)  # P = 2 * 3 * 12
+        hoisted = _hoisted(boxes, composed.strategy._program)
+        assert boxes.places[boxes.split] == 72 and hoisted == {0, 1}
         planted, index = _planted(composed.strategy, hoisted)
         reference = naive_verify(game, planted)
         assert reference.counterexample_index == index
@@ -453,14 +516,15 @@ class TestPeriodicSweep:
 
     def test_blocks_across_periods_match_the_batch_path(self):
         # 592,704 assignments, P = 42,336 at the default block: each block
-        # reads the hoisted tile across two or three periods.
+        # is one color of the split row, and the hoisted counts are read
+        # by every block.
         from hats.dsl import elaborate, parse
 
         composed = elaborate(parse("product(clique[2,3,6]@v0, k5minus@A2)"))
         game = composed.game
-        source = _Periodic(game, CHUNK)
-        hoisted = source.hoisted(composed.strategy._program)[1]
-        assert source.period == 42336 and hoisted == {1, 2, 5}
+        boxes = _Boxes(game, CHUNK)
+        hoisted = _hoisted(boxes, composed.strategy._program)
+        assert boxes.places[boxes.split] == 42336 and hoisted == {1, 2, 5}
         for strategy in (composed.strategy, _planted(composed.strategy, hoisted)[0]):
             hist, zero = _batch_reference(game, strategy)
             for chunk, jobs in ((CHUNK, 1), (CHUNK, 2), (50000, 2), (42337, 1)):
@@ -469,6 +533,52 @@ class TestPeriodicSweep:
                 assert report.counterexample == (None if zero is None else assignment_at(game, zero))
                 assert report.min_correct == min(hist)
                 assert win_histogram(game, strategy, jobs=jobs, chunk=chunk) == hist
+
+
+def _box_forms():
+    """One form of each kind, its game and a block size.  The synthetic
+    forms read clique[3,2,5,4,7]: at 12 per block, rows 0 and 1 are full,
+    row 2 is split and rows 3 and 4 are fixed.  The Leaf is
+    clique[2,2,70000]'s v0, too wide to tabulate."""
+    from hats.dsl import elaborate, parse
+    from hats.strategy import Gather, Leaf, Select, Sum
+
+    rng = np.random.default_rng(19)
+    digits = ((0, ()), (1, ()), (2, ((1, 3),)), (3, ()), (4, ((2, None),)))
+    spans = (3, 2, 2, 4, 4)
+
+    def gather(*picked):
+        weights = [math.prod(spans[j] for j in picked[:k]) for k in range(len(picked))]
+        table = rng.integers(0, 9, math.prod(spans[j] for j in picked), dtype=np.uint64)
+        return Gather(table, tuple(digits[j] for j in picked), tuple(weights))
+
+    game = clique([3, 2, 5, 4, 7])
+    a, b, c = gather(0, 3), gather(2, 4, 1), gather(4)
+    wide = elaborate(parse("clique[2,2,70000]"))
+    leaf = wide.strategy._program.forms[0]
+    assert isinstance(leaf, Leaf)
+    return {
+        "Gather": (game, gather(1, 2, 0, 4, 3), 12),
+        "Sum": (game, Sum((1, 9), (a, b), 50), 12),
+        "Select": (game, Select(((a, digits[3]), (b, digits[2])), (c, a)), 12),
+        "Leaf": (wide.game, leaf, 4096),
+    }
+
+
+@pytest.mark.parametrize("kind", ["Gather", "Sum", "Select", "Leaf"])
+def test_form_on_broadcast_digits_matches_the_raveled_block(kind):
+    # A form evaluated on a block's broadcast digits gives, at each index,
+    # what the same form gives on the block's digits raveled to one row.
+    game, form, chunk = _box_forms()[kind]
+    boxes = _Boxes(game, chunk)
+    starts = list(itertools.islice(boxes.starts(), 3))
+    for lo in (*starts, game.color_space - 1):
+        block = _block_of(boxes, lo)
+        n = math.prod(block.shape)
+        got = form(block, block.shape)
+        flat = {d: _raveled(block, block[d]) for d in form.digits}
+        assert len(got.shape) == len(block.shape)
+        np.testing.assert_array_equal(_raveled(block, got), form(flat, (n,)))
 
 
 class Recording(Strategy):
@@ -491,15 +601,19 @@ class TestInOrderSweep:
     def test_one_job_runs_in_the_calling_thread(self):
         game, strategy = k5minus_strategy()
         recording = Recording(strategy)
+        # Boxes of 84 full-row assignments: rows 3 and 4 (14 colors each)
+        # are split into runs of 11 and 3 colors, and fixed, so 28 blocks.
         win_histogram(game, recording, jobs=1, chunk=1000)
-        assert len(recording.threads) == 17
+        assert len(recording.threads) == 28
         assert set(recording.threads) == {threading.get_ident()}
 
     def test_threads_bounded_by_blocks(self):
-        game, strategy = k5minus_strategy()  # 16464 assignments: three blocks
+        # 16464 assignments, 1176 in the full rows: the last row's 14
+        # colors in three runs of at most 5.
+        game, strategy = k5minus_strategy()
         recording = Recording(strategy)
         before = threading.active_count()
-        win_histogram(game, recording, jobs=8, chunk=16464 // 3)
+        win_histogram(game, recording, jobs=8, chunk=1176 * 5)
         assert len(recording.threads) == 3
         assert max(recording.alive) <= before + 3
 
