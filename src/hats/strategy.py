@@ -22,13 +22,13 @@ Every strategy exposes two evaluation paths:
   the sweep verifier hands each block to ``Strategy._correct_counts``,
   which counts the program's rows one at a time, so a sweep holds one row
   of guesses, not V.  A form's digits may be arrays of any shapes that
-  broadcast together, and its row takes their broadcast shape: a drawn
-  block's digits are rows of one length, while an exhaustive block's lie
-  along the axes of a box (see ``verifier``), so a form makes only as much
-  as the rows it reads span.  Inside a program each form keeps its
-  guesses in the narrowest unsigned dtype that holds the largest one it
-  can give (uint8 for every trefoil form); ``Program.rows``, and so
-  ``guesses_batch``, widens them to uint64.
+  broadcast together, and its row (a leaf's ``_row`` too) takes their
+  broadcast shape: a drawn block's digits are rows of one length, while an
+  exhaustive block's lie along the axes of a box (see ``verifier``), so a
+  form makes only as much as the rows it reads span.  Inside a program each
+  form keeps its guesses in the narrowest unsigned dtype that holds the
+  largest one it can give (uint8 for every trefoil form); ``Program.rows``,
+  and so ``guesses_batch``, widens them to uint64.
 
 The two paths are implemented independently and the test suite checks
 them against each other exhaustively on small games and on random
@@ -106,8 +106,8 @@ class Strategy:
         raise NotImplementedError
 
     def _row(self, i: int, colors: Sequence[np.ndarray]) -> np.ndarray:
-        """Row i of ``guesses_batch(colors)``, from sage i's definition; a
-        leaf defines it."""
+        """Row i of ``guesses_batch(colors)``, from sage i's definition, in
+        the broadcast shape of row i and the rows it reads; a leaf defines it."""
         raise NotImplementedError
 
     @cached_property
@@ -162,6 +162,8 @@ class _Composite(Strategy):
 
 def evaluate(strategy: Strategy, assignment: Assignment) -> list[Guess]:
     """One guess per vertex, in vertex order."""
+    if not isinstance(strategy, Strategy):
+        raise ContractError(f"expected a Strategy, got {type(strategy).__name__}")
     validate_assignment(strategy.game, assignment)
     return [Guess(v, strategy.guess(v, assignment)) for v in strategy.game.graph.vertices]
 
@@ -258,12 +260,12 @@ class CliqueArithStrategy(Strategy):
                 self.modulus,
             )
         # Terms c_j * x_j are below N; reduce only where the next could wrap.
-        n, partial, top = _u(self.modulus), np.zeros(len(colors[i]), dtype=U), 0
+        n, partial, top = _u(self.modulus), np.zeros(np.shape(colors[i]), dtype=U), 0
         for j, (row, c, a) in enumerate(zip(colors, self.coefficients, self.game.hat_tuple)):
             if j != i:
                 if top + c * (a - 1) >= 2 ** 64:
                     partial, top = partial % n, self.modulus - 1
-                partial += np.asarray(row, dtype=U) * _u(c)
+                partial = partial + np.asarray(row, dtype=U) * _u(c)
                 top += c * (a - 1)
         return _interval_guess(partial % n, n, self.coefficients[i], self.starts[i], self.game.hat_tuple[i])
 
@@ -557,7 +559,7 @@ class TableStrategy(Strategy):
 def pattern_indices(game: Game, i: int, colors: Sequence[np.ndarray]) -> np.ndarray:
     """Batch form of ``TableStrategy.pattern_index``: the visible-pattern
     index of row i for every assignment of a batch (0 when it sees nobody)."""
-    idx = np.zeros(len(colors[i]), dtype=U)
+    idx = np.zeros(np.shape(colors[i]), dtype=U)
     place = 1
     for u in game.graph.adjacency[game.graph.vertices[i]]:
         idx = idx + colors[game.graph.index[u]].astype(U) * _u(place)
@@ -611,12 +613,12 @@ def adapt_majorized(strategy: Strategy, lower: Mapping[str, int]) -> AdaptedStra
 #
 # A digit (row, steps) is a row's color passed through each (div, mod) step,
 # x -> x // div % mod (no remainder where mod is None); (row, ()) is the
-# color itself.  A form maps the unsigned values of its digits to one row of
-# guesses, shaped as their broadcast; it is called with the block's whole
-# shape too, which only a form with no digits, and a Leaf, reads.  Its
+# color itself.  A form maps the unsigned values of its digits, and nothing
+# else, to one row of guesses, shaped as their broadcast, or one element
+# long where it reads no digit; only its callers broadcast it further.  Its
 # ``top`` is the largest guess it can give, or None where that
 # is unknown; its row is in the narrowest unsigned dtype that holds ``top``,
-# or uint64.  ``Program.rows`` widens every row to uint64.
+# or uint64.  ``Program.rows`` widens every row to uint64 and to full length.
 
 
 def _steps(x: np.ndarray, steps) -> np.ndarray:
@@ -648,8 +650,8 @@ class Gather:
         self.top = int(self.table.max())
         self.key_dtype = np.min_scalar_type(max((len(table), *weights)))
 
-    def __call__(self, values, shape) -> np.ndarray:
-        key = None if self.digits else np.zeros(shape, dtype=self.key_dtype)
+    def __call__(self, values) -> np.ndarray:
+        key = None if self.digits else np.zeros(1, dtype=self.key_dtype)
         for d, w in zip(self.digits, self.weights):
             if key is None:
                 key = np.multiply(values[d], w, dtype=self.key_dtype, casting="unsafe")
@@ -684,10 +686,10 @@ class Sum:
         self.dtype = _holding(None if total is None else max(total, *places))
         self.top = total if total is None or limit is None else min(total, limit - 1)
 
-    def __call__(self, values, shape) -> np.ndarray:
+    def __call__(self, values) -> np.ndarray:
         total = None
         for p, f in zip(self.places, self.parts):
-            term = np.multiply(f(values, shape), p, dtype=self.dtype)
+            term = np.multiply(f(values), p, dtype=self.dtype)
             total = term if total is None else np.add(total, term, out=_into(total, term))
         return total if self.limit is None else np.where(total < self.limit, total, 0)
 
@@ -705,13 +707,13 @@ class Select:
         self.top = None if None in tops else max(tops)
         self.dtype = _holding(self.top)
 
-    def __call__(self, values, shape) -> np.ndarray:
+    def __call__(self, values) -> np.ndarray:
         # The last hit writes first and the first hit last, one choice alive at a time.
-        first = self.choices[0](values, shape)
+        first = self.choices[0](values)
         out = first.astype(self.dtype)
         for i in reversed(range(len(self.hits))):
-            (form, d), choice = self.hits[i], first if i == 0 else self.choices[i](values, shape)
-            hit = form(values, shape) == values[d]
+            (form, d), choice = self.hits[i], first if i == 0 else self.choices[i](values)
+            hit = form(values) == values[d]
             if not out.shape == hit.shape == choice.shape:
                 grown = np.broadcast_shapes(out.shape, hit.shape, choice.shape)
                 if grown != out.shape:
@@ -721,19 +723,18 @@ class Select:
 
 
 class Leaf:
-    """A leaf vertex as its leaf's own row (``Strategy._row``), fed its
-    neighbors' digits, broadcast to the block and raveled, and 0 on every
-    other row; kept only where too wide to tabulate."""
+    """A leaf vertex as its leaf's own row (``Strategy._row``) on its
+    neighbors' digits as they are and a one-element 0 for every other row;
+    kept only where too wide to tabulate."""
 
     def __init__(self, strategy: Strategy, inputs: tuple, index: int):
         self.strategy, self.inputs, self.index = strategy, inputs, index  # a digit or None per row
         self.digits = tuple(d for d in inputs if d is not None)
         self.top = None
 
-    def __call__(self, values, shape) -> np.ndarray:
-        zeros = np.zeros(shape, dtype=U).reshape(-1)
-        rows = [zeros if d is None else np.broadcast_to(values[d], shape).reshape(-1) for d in self.inputs]
-        return self.strategy._row(self.index, rows).reshape(shape)
+    def __call__(self, values) -> np.ndarray:
+        zero = np.zeros(1, dtype=U)
+        return self.strategy._row(self.index, [zero if d is None else values[d] for d in self.inputs])
 
 
 class Known:
@@ -743,7 +744,7 @@ class Known:
     def __init__(self, form, row: np.ndarray):
         self.digits, self.top, self.row = form.digits, form.top, row
 
-    def __call__(self, values, shape) -> np.ndarray:
+    def __call__(self, values) -> np.ndarray:
         return self.row
 
 
@@ -788,7 +789,7 @@ class Program:
     def rows(self, colors: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
         """Each vertex's row of guesses, in order, made when it is asked for."""
         values, n = self.values(colors), len(colors[0])
-        return (form(values, (n,)).astype(U, copy=False) for form in self.forms)
+        return (np.broadcast_to(form(values), (n,)).astype(U) for form in self.forms)
 
 
 def _compile(root: Strategy) -> list:
@@ -813,7 +814,7 @@ def _compile(root: Strategy) -> list:
             return form
         values = dict.fromkeys(form.digits, np.zeros(places[-1], dtype=U))
         values.update(zip(digits, np.indices(spans[::-1], dtype=U).reshape(len(spans), places[-1])[::-1]))
-        return Gather(form(values, (places[-1],)), tuple(digits), tuple(places[:-1]))
+        return Gather(np.broadcast_to(form(values), places[-1:]), tuple(digits), tuple(places[:-1]))
 
     return drive(root._compiled(tuple((row, ()) for row in range(len(hats))), tabulated),
                  lambda part, digits: part._compiled(digits, tabulated))

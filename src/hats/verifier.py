@@ -117,9 +117,9 @@ def _index_space(game: Game, limit: int, what: str) -> int:
     return total
 
 
-def _summed(parts, shape: tuple, dtype) -> np.ndarray:
+def _summed(parts, dtype) -> np.ndarray:
     """The sum of ``parts`` (correct-guess indicators, or sums of them) in
-    ``dtype``, broadcast to ``shape``.  Parts of one shape are summed at
+    ``dtype``, in their broadcast shape.  Parts of one shape are summed at
     that shape; the sums are then added smallest first, in place once the
     total is a copy of our own."""
     groups = {}
@@ -132,7 +132,7 @@ def _summed(parts, shape: tuple, dtype) -> np.ndarray:
             total = part.astype(dtype)
         else:
             total = np.add(total, part, out=_into(total, part), dtype=dtype)
-    return np.zeros(shape, dtype) if total is None else np.broadcast_to(total, shape)
+    return np.zeros(1, dtype) if total is None else total
 
 
 class _Boxes:
@@ -203,16 +203,16 @@ class _Boxes:
             got = self._full.setdefault(digit, self.along(row, colors, steps))
         return got
 
-    def hoisted(self, program: Program) -> tuple[Optional[np.ndarray], tuple]:
-        """The correct guesses, at the full rows' shape, of the sages that
-        read only full rows (None when there are none), and (row, form) of
-        each other sage, with the parts that read only full rows made."""
+    def hoisted(self, program: Program) -> tuple[np.ndarray, tuple]:
+        """How many sages that read only full rows guess right (a row that
+        broadcasts to the full rows' shape), and (row, form) of each other
+        sage, with the parts that read only full rows made."""
         got = self._hoisted.get(program)
         if got is None:
             values = self.block(0)
 
             def known(form) -> Optional[np.ndarray]:
-                return form(values, self.shape) if all(row < self.split for row, _ in form.digits) else None
+                return form(values) if all(row < self.split for row, _ in form.digits) else None
 
             hits, rest = [], []
             for i, form in enumerate(program.forms):
@@ -221,7 +221,7 @@ class _Boxes:
                     rest.append((i, _settled(form, known)))
                 else:
                     hits.append(row == values[i, ()])
-            counts = _summed(hits, self.shape, self.count_dtype) if hits else None
+            counts = _summed(hits, self.count_dtype)
             got = self._hoisted.setdefault(program, (counts, tuple(rest)))
         return got
 
@@ -260,8 +260,8 @@ class _Box(dict):
 
     def count(self, program: Program) -> np.ndarray:
         counts, rest = self.boxes.hoisted(program)
-        hits = [form(self, self.shape) == self[i, ()] for i, form in rest]
-        return _summed(hits if counts is None else [counts, *hits], self.shape, self.boxes.count_dtype)
+        hits = [form(self) == self[i, ()] for i, form in rest]
+        return _summed([counts, *hits], self.boxes.count_dtype)
 
     def assignment(self, col: int) -> Assignment:
         return assignment_at(self.boxes.game, self.lo + col)
@@ -275,11 +275,9 @@ class _Drawn:
         self.game, self.colors, self.shape, self.order = game, colors, colors.shape[1:], (0,)
 
     def count(self, program: Program) -> np.ndarray:
-        counts = np.zeros(self.shape, np.min_scalar_type(len(self.colors)))
         values = program.values(self.colors)
-        for form, color in zip(program.forms, self.colors):
-            counts += form(values, self.shape) == color
-        return counts
+        hits = (form(values) == color for form, color in zip(program.forms, self.colors))
+        return _summed(hits, np.min_scalar_type(len(self.colors)))
 
     def assignment(self, col: int) -> Assignment:
         return {v: int(c) for v, c in zip(self.game.graph.vertices, self.colors[:, col])}
@@ -364,8 +362,8 @@ def _sweep(game: Game, strategy: Strategy, source, jobs: Optional[int], tally: C
     """``tally(lo, block, counts)`` of each block of ``source``, in index
     order, where ``counts`` holds how many sages guess right at each
     assignment of the block, in the block's shape."""
-    if strategy.game != game:
-        raise ContractError("strategy was built for a different game")
+    if not isinstance(strategy, Strategy) or strategy.game != game:
+        raise ContractError(f"expected a Strategy built for this game, got {type(strategy).__name__}")
 
     def run_block(lo: int):
         # A call of its own frees the block's arrays before the next draw.

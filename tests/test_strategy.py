@@ -170,6 +170,17 @@ def _vectors(n, max_h):
     return itertools.combinations_with_replacement(range(1, max_h + 1), n)
 
 
+def compiled_forms(program):
+    """Every form of a compiled program: each vertex's, and within it each
+    Sum's parts and each Select's hits and choices."""
+    todo = list(program.forms)
+    while todo:
+        form = todo.pop()
+        yield form
+        todo.extend([*getattr(form, "parts", ()), *getattr(form, "choices", ()),
+                     *(f for f, _ in getattr(form, "hits", ()))])
+
+
 def strategy_nodes(strategy):
     """Every node of a strategy tree, the root first."""
     yield strategy
@@ -253,11 +264,21 @@ class TestCliqueBatchPaths:
         assert_same_rows(gather, arith)
 
     def test_paper_builds_take_the_table_path(self, trefoil_composed, planar14_composed):
-        for composed in (trefoil_composed, planar14_composed):
+        # Every form of the paper's builds, and of the benchmark's lowered
+        # trefoil, is a gather or joins gathers: none runs a leaf's row.
+        from hats.dsl import elaborate, parse
+        from test_tooling import _bench_workloads
+
+        lowered = elaborate(parse(_bench_workloads().SweepTrefoil(500).expression()))
+        for composed in (trefoil_composed, planar14_composed, lowered):
             cliques = [node for node in strategy_nodes(composed.strategy)
                        if isinstance(node, CliqueArithStrategy)]
             assert len(cliques) >= 9
             assert all(node._tables is not None for node in cliques)
+            program = composed.strategy._program
+            forms = list(compiled_forms(program))
+            assert len(forms) > len(program.forms)
+            assert not any(isinstance(form, Leaf) for form in forms)
 
 
 def _dtype_cases():
@@ -331,9 +352,9 @@ def test_every_digit_is_unsigned(name, monkeypatch):
 
     grid = []
     for form in (Gather, Select, Leaf):
-        def recording(self, values, n, call=form.__call__):
+        def recording(self, values, call=form.__call__):
             grid.extend(values[d].dtype for d in self.digits)
-            return call(self, values, n)
+            return call(self, values)
         monkeypatch.setattr(form, "__call__", recording)
     composed = getattr(constructors, name)()
     program = composed.strategy._program
@@ -353,17 +374,23 @@ def test_every_digit_is_unsigned(name, monkeypatch):
 @pytest.mark.parametrize("kind", sorted(_dtype_cases()))
 def test_batch_rows_are_uint64(kind):
     # An intp row still compares exactly with a uint64 color row, but the
-    # mixed-dtype comparison in the verifier is several times slower.
-    strategy = _dtype_cases()[kind]()
-    assert strategy.kind == kind
-    game = strategy.game
-    rng = np.random.default_rng(0)
-    colors = np.stack([rng.integers(0, h, 97, dtype=np.uint64) for h in game.hat_tuple])
-    rows = strategy.guesses_batch(colors)
-    assert len(rows) == len(game.graph.vertices)
-    for row in rows:
-        assert row.dtype == np.uint64
-        assert row.shape == (97,)
+    # mixed-dtype comparison in the verifier is several times slower.  A
+    # sage who sees nobody (clique[1], an isolated table vertex) compiles
+    # to a one-element row, and still gets a full row here.
+    isolated = Game(Graph(("a", "b", "c"), [("a", "b")]), {"a": 2, "b": 3, "c": 2})
+    edges = {"clique-arith": [lambda: clique_strategy(clique([1]))],
+             "table": [lambda: TableStrategy(isolated, {"a": (0, 1, 1), "b": (2, 0), "c": (1,)})]}
+    for build in (_dtype_cases()[kind], *edges.get(kind, ())):
+        strategy = build()
+        assert strategy.kind == kind
+        game = strategy.game
+        rng = np.random.default_rng(0)
+        colors = np.stack([rng.integers(0, h, 97, dtype=np.uint64) for h in game.hat_tuple])
+        for rows in (strategy.guesses_batch(colors), list(strategy._program.rows(colors))):
+            assert len(rows) == len(game.graph.vertices)
+            for row in rows:
+                assert row.dtype == np.uint64
+                assert row.shape == (97,)
 
 
 class TestTrapTable:
@@ -814,13 +841,7 @@ class TestCompiledAgainstScalar:
         from hats.verifier import _Boxes
 
         game, program = trefoil_composed.game, trefoil_composed.strategy._program
-        gathers, todo = [], list(program.forms)
-        while todo:
-            form = todo.pop()
-            if isinstance(form, Gather):
-                gathers.append(form)
-            todo.extend([*getattr(form, "parts", ()), *getattr(form, "choices", ()),
-                         *(f for f, _ in getattr(form, "hits", ()))])
+        gathers = [form for form in compiled_forms(program) if isinstance(form, Gather)]
         assert len(gathers) >= len(program.forms)
         assert all(g.key_dtype.itemsize < np.dtype(np.intp).itemsize for g in gathers)
         n = 4096
@@ -832,7 +853,7 @@ class TestCompiledAgainstScalar:
                 key = np.zeros(shape, dtype=np.intp)
                 for d, w in zip(g.digits, g.weights):
                     key = key + values[d].astype(np.intp) * w
-                np.testing.assert_array_equal(np.broadcast_to(g(values, shape), shape), g.table[key])
+                np.testing.assert_array_equal(np.broadcast_to(g(values), shape), g.table[key])
 
 
 def cone_and_adapter_chain(depth=150):

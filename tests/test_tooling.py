@@ -148,3 +148,18 @@ def test_bench_reports_match_the_recorded_ones(name, seeds):
         assert workload.expected is not None, (name, seed)
         for jobs in (1, 2):
             assert workloads.report_fields(workload.run(hats, jobs)) == workload.expected, (name, seed, jobs)
+
+
+def test_bench_solve_set_checks_and_decides():
+    # Every solver verdict the benchmark times must pass its check, and the
+    # number decided within budget is a gated metric.
+    import hats
+
+    workload = _bench_workloads().SolveSet(0)
+    workload.setup()
+    decided = 0
+    for slot in workload.slots:
+        result = slot.run(hats, 1)
+        assert slot.check(hats, result) is None, slot.label
+        decided += slot.decided(result)
+    assert len(workload.slots) == 39 and decided >= 36

@@ -141,6 +141,23 @@ class TestVerifyExhaustive:
         with pytest.raises(ContractError):
             verify_exhaustive(game, other)
 
+    @pytest.mark.parametrize("entry", ["verify_exhaustive", "verify_sampled", "win_histogram", "evaluate"])
+    def test_missing_or_foreign_strategy_refused(self, entry):
+        # A losing build has no strategy; a build is not a strategy either.
+        from hats.constructors import clique_game
+        from hats.strategy import evaluate
+
+        losing = clique_game([2, 3])
+        assert losing.strategy is None
+        game = losing.game
+        calls = {"verify_exhaustive": lambda s: verify_exhaustive(game, s, jobs=1),
+                 "verify_sampled": lambda s: verify_sampled(game, s, 16, seed=0, jobs=1),
+                 "win_histogram": lambda s: win_histogram(game, s, jobs=1),
+                 "evaluate": lambda s: evaluate(s, {v: 0 for v in game.graph.vertices})}
+        for strategy in (None, losing):
+            with pytest.raises(ContractError, match="expected a Strategy"):
+                calls[entry](strategy)
+
     def test_report_serialization(self):
         game, strategy = k5minus_strategy()
         report = verify_exhaustive(game, strategy, jobs=1)
@@ -574,11 +591,12 @@ def test_form_on_broadcast_digits_matches_the_raveled_block(kind):
     starts = list(itertools.islice(boxes.starts(), 3))
     for lo in (*starts, game.color_space - 1):
         block = _block_of(boxes, lo)
-        n = math.prod(block.shape)
-        got = form(block, block.shape)
+        got = form(block)
         flat = {d: _raveled(block, block[d]) for d in form.digits}
         assert len(got.shape) == len(block.shape)
-        np.testing.assert_array_equal(_raveled(block, got), form(flat, (n,)))
+        if kind == "Leaf":
+            assert got.shape == np.broadcast_shapes(*(block[d].shape for d in form.digits))
+        np.testing.assert_array_equal(_raveled(block, got), form(flat))
 
 
 class Recording(Strategy):
