@@ -35,6 +35,7 @@ from .core import (
     Verdict,
     WINNING,
     complete_graph,
+    require_int,
     value_list,
 )
 from .strategy import (
@@ -461,9 +462,9 @@ def windmill(k: int, n: int) -> ComposedGame:
     Raises CapacityError, before building anything, when the windmill
     would have more than MAX_WINDMILL_SIZE vertices or edges.
     """
-    if k < 2:
+    if require_int("k", k) < 2:
         raise ContractError("windmill needs k >= 2")
-    if n < 1:
+    if require_int("n", n) < 1:
         raise ContractError("windmill needs n >= 1")
     size = max(1 + n * (k - 1), n * k * (k - 1) // 2)
     if size > MAX_WINDMILL_SIZE:
@@ -488,7 +489,7 @@ def blowup_second_min(cg: ComposedGame, copies: int) -> tuple[ComposedGame, int]
     """
     if not cg.is_winning:
         raise ContractError("blow-up requires a winning game")
-    if copies < 1:
+    if require_int("copies", copies) < 1:
         raise ContractError("need at least one copy")
     values = value_list(cg.game)
     a1 = values[0]

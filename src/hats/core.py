@@ -199,7 +199,7 @@ def assignment_at(game: Game, index: int) -> Assignment:
     significant digit.  The map index -> assignment is a bijection on
     [0, color_space).
     """
-    if index < 0 or index >= game.color_space:
+    if not 0 <= require_int("index", index) < game.color_space:
         raise RangeError(f"assignment index {index} outside [0, {game.color_space})")
     out: Assignment = {}
     for v, h in zip(game.graph.vertices, game.hat_tuple):

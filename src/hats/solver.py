@@ -295,6 +295,8 @@ def check_against_clique_theorem(max_n: int, max_hatness: int,
 
     from .core import complete_graph
 
+    require_int("max_n", max_n)
+    require_int("max_hatness", max_hatness)
     report = CliqueCheckReport(0)
     for n in range(1, max_n + 1):
         for hats in combinations_with_replacement(range(1, max_hatness + 1), n):

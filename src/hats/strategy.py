@@ -641,9 +641,9 @@ def _narrow(x: np.ndarray) -> np.ndarray:
 class Gather:
     """``table[sum(w * d)]`` over digits d with weights w.  The table is kept
     in the narrowest unsigned dtype that holds its guesses, and so is the
-    row.  The key is summed in the narrowest unsigned dtype that holds every
-    index and weight: each term lies below the table's length, so the cast
-    of a digit is exact."""
+    row.  The key starts from a one-element 0 and is summed in the narrowest
+    unsigned dtype that holds every index and weight: each term lies below
+    the table's length, so the cast of a digit is exact."""
 
     def __init__(self, table: np.ndarray, digits: tuple, weights: tuple):
         self.table, self.digits, self.weights = _narrow(table), digits, weights
@@ -651,24 +651,11 @@ class Gather:
         self.key_dtype = np.min_scalar_type(max((len(table), *weights)))
 
     def __call__(self, values) -> np.ndarray:
-        key = None if self.digits else np.zeros(1, dtype=self.key_dtype)
+        key = np.zeros(1, dtype=self.key_dtype)
         for d, w in zip(self.digits, self.weights):
-            if key is None:
-                key = np.multiply(values[d], w, dtype=self.key_dtype, casting="unsafe")
-                continue
             term = values[d] if w == 1 else np.multiply(values[d], w, dtype=self.key_dtype, casting="unsafe")
-            # In place while the key keeps its shape; a broadcast sum grows it.
-            key = np.add(key, term, out=_into(key, term), dtype=self.key_dtype, casting="unsafe")
+            key = np.add(key, term, dtype=self.key_dtype, casting="unsafe")
         return np.take(self.table, key)
-
-
-def _into(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """``a`` where an elementwise result of a and b fits in it (b
-    broadcasts to a's shape), else None: a new array of the broadcast
-    shape."""
-    if a.shape == b.shape or a.ndim == b.ndim and all(m in (1, n) for n, m in zip(a.shape, b.shape)):
-        return a
-    return None
 
 
 class Sum:
@@ -690,7 +677,7 @@ class Sum:
         total = None
         for p, f in zip(self.places, self.parts):
             term = np.multiply(f(values), p, dtype=self.dtype)
-            total = term if total is None else np.add(total, term, out=_into(total, term))
+            total = term if total is None else np.add(total, term)
         return total if self.limit is None else np.where(total < self.limit, total, 0)
 
 
@@ -708,17 +695,12 @@ class Select:
         self.dtype = _holding(self.top)
 
     def __call__(self, values) -> np.ndarray:
-        # The last hit writes first and the first hit last, one choice alive at a time.
+        # The last hit first, so that the first hit decides; one choice alive at a time.
         first = self.choices[0](values)
-        out = first.astype(self.dtype)
+        out = first.astype(self.dtype, copy=False)
         for i in reversed(range(len(self.hits))):
             (form, d), choice = self.hits[i], first if i == 0 else self.choices[i](values)
-            hit = form(values) == values[d]
-            if not out.shape == hit.shape == choice.shape:
-                grown = np.broadcast_shapes(out.shape, hit.shape, choice.shape)
-                if grown != out.shape:
-                    out = np.broadcast_to(out, grown).copy()
-            np.copyto(out, choice, where=hit)
+            out = np.where(form(values) == values[d], choice, out)
         return out
 
 

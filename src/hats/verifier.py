@@ -59,7 +59,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .core import Assignment, CapacityError, ContractError, Game, assignment_at, require_int
-from .strategy import Program, Strategy, _into, _narrow, _settled, _steps
+from .strategy import Program, Strategy, _narrow, _settled, _steps
 
 DEFAULT_LIMIT = 2 ** 64
 MAX_JOBS = 256
@@ -119,20 +119,17 @@ def _index_space(game: Game, limit: int, what: str) -> int:
 
 def _summed(parts, dtype) -> np.ndarray:
     """The sum of ``parts`` (correct-guess indicators, or sums of them) in
-    ``dtype``, in their broadcast shape.  Parts of one shape are summed at
-    that shape; the sums are then added smallest first, in place once the
-    total is a copy of our own."""
+    ``dtype``, in their broadcast shape, or a one-element 0.  Parts of one
+    shape are summed at that shape; the sums are then added to a
+    one-element 0, smallest first."""
     groups = {}
     for part in parts:
         same = groups.get(part.shape)
         groups[part.shape] = part if same is None else np.add(same, part, dtype=dtype)
-    total = None
+    total = np.zeros(1, dtype)
     for part in sorted(groups.values(), key=np.size):
-        if total is None:
-            total = part.astype(dtype)
-        else:
-            total = np.add(total, part, out=_into(total, part), dtype=dtype)
-    return np.zeros(1, dtype) if total is None else total
+        total = np.add(total, part, dtype=dtype)
+    return total
 
 
 class _Boxes:

@@ -31,9 +31,11 @@ from hats.core import (
     PROV_PRODUCT,
     PROV_SUM_LOSE,
     WINNING,
+    assignment_at,
     hg_lower_bound,
     value_list,
 )
+from hats.solver import check_against_clique_theorem
 from conftest import naive_verify
 
 
@@ -301,6 +303,23 @@ class TestBlowup:
         g = clique_game([1, 2])
         with pytest.raises(ContractError, match="hatness 1"):
             blowup_second_min(g, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: assignment_at(clique_game([2, 2]).game, 1.5),
+    lambda: assignment_at(clique_game([2, 2]).game, True),
+    lambda: windmill(2.5, 3),
+    lambda: windmill(3, 2.0),
+    lambda: blowup_second_min(trefoil(), 2.0),
+    lambda: blowup_second_min(clique_game([2, 2]), True),
+    lambda: check_against_clique_theorem(2.5, 3),
+], ids=["index-float", "index-bool", "windmill-k", "windmill-n", "copies-float", "copies-bool",
+        "clique-theorem-n"])
+def test_non_integer_arguments_refused(call):
+    # A float or a bool where a builder or a decoder takes an integer is
+    # refused, not decoded as a float "assignment" or failed with a TypeError.
+    with pytest.raises(ContractError, match="must be an integer"):
+        call()
 
 
 class TestTrefoil:

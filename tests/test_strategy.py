@@ -376,7 +376,8 @@ def test_batch_rows_are_uint64(kind):
     # An intp row still compares exactly with a uint64 color row, but the
     # mixed-dtype comparison in the verifier is several times slower.  A
     # sage who sees nobody (clique[1], an isolated table vertex) compiles
-    # to a one-element row, and still gets a full row here.
+    # to a one-element row, and still gets a full row here.  The colors
+    # are read-only: no row may be made by writing into them.
     isolated = Game(Graph(("a", "b", "c"), [("a", "b")]), {"a": 2, "b": 3, "c": 2})
     edges = {"clique-arith": [lambda: clique_strategy(clique([1]))],
              "table": [lambda: TableStrategy(isolated, {"a": (0, 1, 1), "b": (2, 0), "c": (1,)})]}
@@ -386,6 +387,7 @@ def test_batch_rows_are_uint64(kind):
         game = strategy.game
         rng = np.random.default_rng(0)
         colors = np.stack([rng.integers(0, h, 97, dtype=np.uint64) for h in game.hat_tuple])
+        colors.setflags(write=False)
         for rows in (strategy.guesses_batch(colors), list(strategy._program.rows(colors))):
             assert len(rows) == len(game.graph.vertices)
             for row in rows:

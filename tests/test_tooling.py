@@ -74,6 +74,13 @@ def test_clean_cli_verify_is_warning_free(tmp_path):
     result = run_dev_mode(tmp_path, "-m", "hats.cli", "verify", "game.expr", "--jobs", "2")
     assert (result.returncode, result.stderr) == (0, "")
     assert strict_json(result.stdout)["counterexample"] is None
+    # planar14 keeps untabulated Selects, which run in the pool's threads;
+    # a sampled verify is evidence only, so it exits 2 (unknown).
+    (tmp_path / "planar14.expr").write_text("planar14")
+    result = run_dev_mode(tmp_path, "-m", "hats.cli", "verify", "planar14.expr",
+                          "--sample", "2048", "--jobs", "2")
+    assert (result.returncode, result.stderr) == (2, "")
+    assert strict_json(result.stdout)["counterexample"] is None
 
 
 def test_clean_cli_solve_is_warning_free(tmp_path):

@@ -532,6 +532,10 @@ class TestPeriodicSweep:
         self._check(game, planted, reference, (7, 71, 72, 73, 215, 216, 217, 1 << 16))
 
     def test_blocks_across_periods_match_the_batch_path(self):
+        self._check_across_periods(((CHUNK, 1), (CHUNK, 2), (50000, 2), (42337, 1)))
+
+    @staticmethod
+    def _check_across_periods(runs):
         # 592,704 assignments, P = 42,336 at the default block: each block
         # is one color of the split row, and the hoisted counts are read
         # by every block.
@@ -544,12 +548,60 @@ class TestPeriodicSweep:
         assert boxes.places[boxes.split] == 42336 and hoisted == {1, 2, 5}
         for strategy in (composed.strategy, _planted(composed.strategy, hoisted)[0]):
             hist, zero = _batch_reference(game, strategy)
-            for chunk, jobs in ((CHUNK, 1), (CHUNK, 2), (50000, 2), (42337, 1)):
+            for chunk, jobs in runs:
                 report = verify_exhaustive(game, strategy, jobs=jobs, chunk=chunk)
                 assert report.checked == (game.color_space if zero is None else zero + 1)
                 assert report.counterexample == (None if zero is None else assignment_at(game, zero))
                 assert report.min_correct == min(hist)
                 assert win_histogram(game, strategy, jobs=jobs, chunk=chunk) == hist
+
+    @staticmethod
+    def _freeze_shared(monkeypatch):
+        """Make read-only every array that a sweep's blocks share: the full
+        rows' digits, the hoisted counts and the rows of ``Known`` parts.
+        Returns the frozen arrays, by kind."""
+        from hats.strategy import Known
+
+        frozen = {"full": [], "counts": [], "known": []}
+
+        def freeze(kind, x):
+            x.setflags(write=False)
+            frozen[kind].append(x)
+            return x
+
+        def freeze_known(form):
+            if isinstance(form, Known):
+                freeze("known", form.row)
+            for part in (*getattr(form, "parts", ()), *getattr(form, "choices", ()),
+                         *(f for f, _ in getattr(form, "hits", ()))):
+                freeze_known(part)
+
+        full, hoisted = _Boxes.full, _Boxes.hoisted
+
+        def frozen_hoisted(self, program):
+            counts, rest = hoisted(self, program)
+            freeze("counts", counts)
+            for _, form in rest:
+                freeze_known(form)
+            return counts, rest
+
+        monkeypatch.setattr(_Boxes, "full", lambda self, digit: freeze("full", full(self, digit)))
+        monkeypatch.setattr(_Boxes, "hoisted", frozen_hoisted)
+        return frozen
+
+    @pytest.mark.parametrize("build", ["random-composition", "across-periods"])
+    def test_frozen_shared_arrays_give_the_same_reports(self, build, monkeypatch):
+        # No block may write into what the other blocks, in any thread, read.
+        from test_strategy import random_composition
+
+        frozen = self._freeze_shared(monkeypatch)
+        if build == "random-composition":
+            composed = random_composition(random.Random(23))
+            reference = naive_verify(composed.game, composed.strategy)
+            self._check(composed.game, composed.strategy, reference, (7, 64, 1 << 16))
+        else:
+            self._check_across_periods(((CHUNK, 1), (CHUNK, 2)))
+        assert frozen["full"] and frozen["counts"] and frozen["known"]
 
 
 def _box_forms():
@@ -586,11 +638,14 @@ def _box_forms():
 def test_form_on_broadcast_digits_matches_the_raveled_block(kind):
     # A form evaluated on a block's broadcast digits gives, at each index,
     # what the same form gives on the block's digits raveled to one row.
+    # Blocks share their digits, so no form may write into one.
     game, form, chunk = _box_forms()[kind]
     boxes = _Boxes(game, chunk)
     starts = list(itertools.islice(boxes.starts(), 3))
     for lo in (*starts, game.color_space - 1):
         block = _block_of(boxes, lo)
+        for d in form.digits:
+            block[d].setflags(write=False)
         got = form(block)
         flat = {d: _raveled(block, block[d]) for d in form.digits}
         assert len(got.shape) == len(block.shape)
