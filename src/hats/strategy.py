@@ -15,10 +15,13 @@ Every strategy exposes two evaluation paths:
   i's row from its definition, ``_row(i, colors)``, and its batch is its
   rows.  Every strategy, leaf or composite (product, cone, majorization
   adapter), compiles once, the first time its rows are asked for, into a
-  :class:`Program`: one flat form per vertex, gathering over unsigned
-  digits of its neighbors' colors, with each leaf vertex's guesses
-  tabulated from its ``_row`` (a vertex too wide to tabulate runs its
-  ``_row`` instead).  A composite's ``guesses_batch`` runs its program;
+  :class:`Program`: one flat form per vertex over unsigned digits of its
+  neighbors' colors.  A composite only joins its parts' forms; the
+  compiler tabulates every form it can (a leaf vertex too wide to
+  tabulate runs its ``_row`` instead), and a form refuses, with
+  CapacityError, guesses that uint64 cannot hold: a leaf vertex's hatness
+  above 2**64, or a sum's split modulus or largest guess at 2**64 or
+  above.  A composite's ``guesses_batch`` runs its program;
   the sweep verifier hands each block to ``Strategy._correct_counts``,
   which counts the program's rows one at a time, so a sweep holds one row
   of guesses, not V.  A form's digits may be arrays of any shapes that
@@ -122,20 +125,21 @@ class Strategy:
         program one row at a time."""
         return block.count(self._program)
 
-    def _compiled(self, digits, tabulated) -> Generator:
+    def _compiled(self, digits) -> Generator:
         """One form per row, given the digit each row reads, as a generator
         that yields (part, digits) for each part it needs compiled, is sent
-        that part's forms, and returns its own.  A composite defines it; a
-        leaf compiles vertex by vertex through ``_form``."""
-        return [self._form(i, digits, tabulated) for i in range(len(digits))]
+        that part's forms, and returns its own; :func:`_compile` tabulates
+        them.  A composite defines it; a leaf compiles vertex by vertex
+        through ``_form``."""
+        return [self._form(i, digits) for i in range(len(digits))]
         yield
 
-    def _form(self, i: int, digits: tuple, tabulated):
+    def _form(self, i: int, digits: tuple):
         """Leaf vertex i compiled, given the digit each row reads: this
-        leaf's own row i on its neighbors' digits, tabulated."""
+        leaf's own row i on its neighbors' digits."""
         graph = self.game.graph
         near = {graph.index[u] for u in graph.adjacency[graph.vertices[i]]}
-        return tabulated(Leaf(self, tuple(d if j in near else None for j, d in enumerate(digits)), i))
+        return Leaf(self, tuple(d if j in near else None for j, d in enumerate(digits)), i)
 
 
 class _Composite(Strategy):
@@ -246,9 +250,9 @@ class CliqueArithStrategy(Strategy):
             for span, c, s, a in zip(spans, self.coefficients, self.starts, self.game.hat_tuple)
         )
 
-    def _form(self, i: int, digits: tuple, tabulated):
+    def _form(self, i: int, digits: tuple):
         if self._tables is None:
-            return super()._form(i, digits, tabulated)
+            return super()._form(i, digits)
         rows = [j for j in range(len(digits)) if j != i]
         return Gather(self._tables[i], tuple(digits[j] for j in rows), tuple(self.coefficients[j] for j in rows))
 
@@ -549,6 +553,7 @@ class TableStrategy(Strategy):
         return self.tables[v][self.pattern_index(v, assignment)]
 
     def _row(self, i: int, colors: Sequence[np.ndarray]) -> np.ndarray:
+        _check_guesses(self.game.hat_tuple[i])
         table = np.asarray(self.tables[self.game.graph.vertices[i]], dtype=U)
         return np.take(table, pattern_indices(self.game, i, colors))
 
@@ -594,10 +599,10 @@ class AdaptedStrategy(_Composite):
     def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
         return list(self._program.rows(colors))
 
-    def _compiled(self, digits, tabulated) -> Generator:
+    def _compiled(self, digits) -> Generator:
         forms = yield self.inner, digits
         # A guess is below its own game's hatness, so only lowered rows clamp.
-        return [form if h == top else tabulated(Sum((1,), (form,), h))
+        return [form if h == top else Sum((1,), (form,), h)
                 for form, h, top in zip(forms, self.game.hat_tuple, self.inner.game.hat_tuple)]
 
 
@@ -616,9 +621,10 @@ def adapt_majorized(strategy: Strategy, lower: Mapping[str, int]) -> AdaptedStra
 # color itself.  A form maps the unsigned values of its digits, and nothing
 # else, to one row of guesses, shaped as their broadcast, or one element
 # long where it reads no digit; only its callers broadcast it further.  Its
-# ``top`` is the largest guess it can give, or None where that
-# is unknown; its row is in the narrowest unsigned dtype that holds ``top``,
-# or uint64.  ``Program.rows`` widens every row to uint64 and to full length.
+# ``top`` is the largest guess it can give, an int below 2**64; its row is in
+# the narrowest unsigned dtype that holds ``top``, except a ``Leaf``'s, which
+# is its leaf's uint64 row.  ``Program.rows`` widens every row to uint64 and
+# to full length.
 
 
 def _steps(x: np.ndarray, steps) -> np.ndarray:
@@ -627,15 +633,15 @@ def _steps(x: np.ndarray, steps) -> np.ndarray:
     return x
 
 
-def _holding(top: int | None) -> np.dtype:
-    """The narrowest unsigned dtype that holds 0 .. top; uint64 where top
-    is unknown or past it."""
-    return np.dtype(U) if top is None or top >= 2 ** 64 else np.min_scalar_type(top)
-
-
 def _narrow(x: np.ndarray) -> np.ndarray:
     """``x`` in the narrowest unsigned dtype that holds its values."""
-    return x.astype(_holding(int(x.max())), copy=False)
+    return x.astype(np.min_scalar_type(int(x.max())), copy=False)
+
+
+def _check_guesses(hatness: int) -> None:
+    """Refuse a leaf vertex whose guesses uint64 cannot hold."""
+    if hatness > 2 ** 64:
+        raise CapacityError(f"hatness {hatness} is too large for batch evaluation: exact up to 2**64", hatness)
 
 
 class Gather:
@@ -661,17 +667,19 @@ class Gather:
 class Sum:
     """``sum(place * part)``, then 0 wherever that reaches ``limit``.  The sum
     is taken in the narrowest unsigned dtype that holds every place and
-    ``sum(place * top)`` over the parts, so no term or partial sum wraps; in
-    uint64 where a part's top is unknown (every part is a guess below a
-    hatness of at most 2**64, and a sum is an encoded guess below one)."""
+    ``sum(place * top)`` over the parts, so no term or partial sum wraps; a
+    place (a split modulus) or that largest sum at 2**64 or above, which
+    uint64 cannot hold, is refused with CapacityError."""
 
     def __init__(self, places: tuple, parts: tuple, limit: int | None = None):
         self.places, self.parts, self.limit = places, parts, limit
         self.digits = tuple(dict.fromkeys(d for f in parts for d in f.digits))
-        tops = [f.top for f in parts]
-        total = None if None in tops else sum(p * t for p, t in zip(places, tops))
-        self.dtype = _holding(None if total is None else max(total, *places))
-        self.top = total if total is None or limit is None else min(total, limit - 1)
+        total = sum(p * f.top for p, f in zip(places, parts))
+        for what, n in (("split modulus", max(places)), ("encoded guess", total)):
+            if n >= 2 ** 64:
+                raise CapacityError(f"{what} {n} is too large for batch evaluation: exact below 2**64", n)
+        self.dtype = np.min_scalar_type(max(total, *places))
+        self.top = total if limit is None else min(total, limit - 1)
 
     def __call__(self, values) -> np.ndarray:
         total = None
@@ -690,9 +698,8 @@ class Select:
         self.hits, self.choices = hits, choices  # hits: (form, digit) pairs
         forms = (*(f for f, _ in hits), *choices)
         self.digits = tuple(dict.fromkeys([*(d for f in forms for d in f.digits), *(d for _, d in hits)]))
-        tops = [f.top for f in choices]
-        self.top = None if None in tops else max(tops)
-        self.dtype = _holding(self.top)
+        self.top = max(f.top for f in choices)
+        self.dtype = np.min_scalar_type(self.top)
 
     def __call__(self, values) -> np.ndarray:
         # The last hit first, so that the first hit decides; one choice alive at a time.
@@ -707,12 +714,14 @@ class Select:
 class Leaf:
     """A leaf vertex as its leaf's own row (``Strategy._row``) on its
     neighbors' digits as they are and a one-element 0 for every other row;
-    kept only where too wide to tabulate."""
+    kept only where too wide to tabulate.  A guess is a color, so ``top`` is
+    the vertex's hatness - 1; a hatness above 2**64 is refused."""
 
     def __init__(self, strategy: Strategy, inputs: tuple, index: int):
         self.strategy, self.inputs, self.index = strategy, inputs, index  # a digit or None per row
         self.digits = tuple(d for d in inputs if d is not None)
-        self.top = None
+        _check_guesses(strategy.game.hat_tuple[index])
+        self.top = strategy.game.hat_tuple[index] - 1
 
     def __call__(self, values) -> np.ndarray:
         zero = np.zeros(1, dtype=U)
@@ -776,9 +785,10 @@ class Program:
 
 def _compile(root: Strategy) -> list:
     """One form per row of ``root``.  Each node is handed the digits its
-    rows read, top down, and joins its parts' forms, bottom up, with every
-    form of at most CLIQUE_TABLE_SPAN input patterns tabulated;
-    :func:`hats.core.drive` compiles trees of any depth."""
+    rows read, top down, and joins its parts' forms, bottom up; every form a
+    node returns that is not already a Gather is tabulated here when it has
+    at most CLIQUE_TABLE_SPAN input patterns.  :func:`hats.core.drive`
+    compiles trees of any depth."""
     hats = root.game.hat_tuple
 
     def span(digit) -> int:
@@ -798,24 +808,15 @@ def _compile(root: Strategy) -> list:
         values.update(zip(digits, np.indices(spans[::-1], dtype=U).reshape(len(spans), places[-1])[::-1]))
         return Gather(np.broadcast_to(form(values), places[-1:]), tuple(digits), tuple(places[:-1]))
 
-    return drive(root._compiled(tuple((row, ()) for row in range(len(hats))), tabulated),
-                 lambda part, digits: part._compiled(digits, tabulated))
+    def compiled(part: Strategy, digits) -> Generator:
+        forms = yield from part._compiled(digits)
+        return [f if isinstance(f, Gather) else tabulated(f) for f in forms]
+
+    return drive(compiled(root, tuple((row, ()) for row in range(len(hats)))), compiled)
 
 
 # ---------------------------------------------------------------------------
 # Composite strategies (built by the constructors module)
-
-
-def _check_uint64(game: Game, moduli: Sequence[int]) -> None:
-    """Composite batch paths hold colors, encoded guesses and split moduli
-    in uint64: every hatness must be at most 2**64 and every modulus below
-    it.  Anything larger would wrap silently, so it is refused."""
-    top = max(game.hat_tuple)
-    if top > 2 ** 64:
-        raise CapacityError(f"hatness {top} is too large for batch evaluation: exact up to 2**64", top)
-    if max(moduli) >= 2 ** 64:
-        raise CapacityError(f"split modulus {max(moduli)} is too large for batch evaluation: "
-                            "exact below 2**64", max(moduli))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -870,9 +871,8 @@ class ProductStrategy(_Composite):
     def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
         return list(self._program.rows(colors))
 
-    def _compiled(self, digits, tabulated) -> Generator:
+    def _compiled(self, digits) -> Generator:
         la, ra, h1 = self._axis
-        _check_uint64(self.game, [h1])
         row, steps = digits[self.left_rows[la]]
         left, right = [digits[r] for r in self.left_rows], [digits[r] for r in self.right_rows]
         left[la], right[ra] = (row, (*steps, (1, h1))), (row, (*steps, (h1, None)))
@@ -881,7 +881,7 @@ class ProductStrategy(_Composite):
         for rows, forms in zip((self.left_rows, self.right_rows), parts):
             for r, form in zip(rows, forms):
                 out[r] = form
-        out[self.left_rows[la]] = tabulated(Sum((1, h1), (parts[0][la], parts[1][ra])))
+        out[self.left_rows[la]] = Sum((1, h1), (parts[0][la], parts[1][ra]))
         return out
 
 
@@ -942,10 +942,9 @@ class ConeStrategy(_Composite):
     def guesses_batch(self, colors: Sequence[np.ndarray]) -> list[np.ndarray]:
         return list(self._program.rows(colors))
 
-    def _compiled(self, digits, tabulated) -> Generator:
+    def _compiled(self, digits) -> Generator:
         # Attachment i splits into its petal part and base vertex i.
         hs = [p.game.hat_tuple[a] for p, a in zip(self.petals, self.petal_a)]
-        _check_uint64(self.game, hs)
         attach = [digits[rows[a]] for rows, a in zip(self.petal_rows, self.petal_a)]
         base_digits = [(row, (*steps, (h, None))) for (row, steps), h in zip(attach, hs)]
         base_forms = yield self.base, base_digits
@@ -957,9 +956,9 @@ class ConeStrategy(_Composite):
             forms = yield petal, part
             for r, form in zip(rows, forms):
                 out[r] = form
-            out[rows[a]] = tabulated(Sum((1, h), (forms[a], ghat)))
+            out[rows[a]] = Sum((1, h), (forms[a], ghat))
             apex.append(forms[o])
         # The first petal whose base guess matched, else petal 0, as the
         # scalar path does.
-        out[self.petal_rows[0][self.petal_o[0]]] = tabulated(Select(tuple(zip(base_forms, base_digits)), tuple(apex)))
+        out[self.petal_rows[0][self.petal_o[0]]] = Select(tuple(zip(base_forms, base_digits)), tuple(apex))
         return out

@@ -113,8 +113,8 @@ class TestVerify:
         assert err.startswith("error:") and "too large" in err
 
     def test_sampled_composite_beyond_2_64_is_unknown(self, expr, capsys):
-        # The hub's product node has hatness 2**65; its batch path would
-        # encode guesses past uint64, so it refuses before sampling.
+        # The hub's last product splits its color at 2**64; its batch path
+        # would encode guesses past uint64, so it refuses before sampling.
         code, out, err = run(capsys, "verify", expr("windmill(2, 65)"), "--sample", "100")
         assert code == EX_UNKNOWN
         assert out == ""

@@ -642,6 +642,24 @@ class TestCompositeCapacity:
         with pytest.raises(CapacityError, match="split modulus"):
             composed.strategy.guesses_batch(batch_of(game, [{v: 0 for v in game.graph.vertices}]))
 
+    @pytest.mark.parametrize("call", ["exhaustive", "sampled", "adapted batch", "table batch"])
+    def test_leaf_vertex_above_2_64_refused(self, call):
+        # Lowered to 2, x guesses a legal 0 on the scalar path; no batch
+        # path may hold its table's guess 2**64 + 3 in uint64.
+        from hats.verifier import verify_exhaustive, verify_sampled
+
+        table = TableStrategy(Game(Graph(("x", "y"), []), {"x": 2 ** 65, "y": 1}), {"x": (2 ** 64 + 3,), "y": (0,)})
+        lowered = adapt_majorized(table, {"x": 2, "y": 1})
+        assert lowered.guess("x", {"x": 1, "y": 0}) == 0
+        runs = {
+            "exhaustive": lambda: verify_exhaustive(lowered.game, lowered, jobs=1),
+            "sampled": lambda: verify_sampled(lowered.game, lowered, 10, 0, jobs=1),
+            "adapted batch": lambda: lowered.guesses_batch(batch_of(lowered.game, [{"x": 1, "y": 0}])),
+            "table batch": lambda: table.guesses_batch(batch_of(table.game, [{"x": 1, "y": 0}])),
+        }
+        with pytest.raises(CapacityError, match=f"hatness {2 ** 65} is too large"):
+            runs[call]()
+
     def test_hatness_2_64_is_exact(self):
         from hats.constructors import windmill
 
@@ -656,6 +674,55 @@ class TestCompositeCapacity:
                 scalar = strategy.guesses(assignment)
                 for i, v in enumerate(game.graph.vertices):
                     assert scalar[v] == int(rows[i][col]), (col, v)
+
+
+# The benchmark's seed-500 sweep-trefoil: eight of the trefoil's twelve
+# hatness-6 sages lowered to 2.
+TREFOIL_500 = ('lower(trefoil; "L/L/1/v2"=2, "L/R/0/v1"=2, "L/R/0/v2"=2, "L/R/1/v1"=2, '
+               '"L/R/1/v2"=2, "R/0/v1"=2, "R/0/v2"=2, "R/1/v2"=2)')
+COMPILED_BUILDS = ["trefoil", "planar14", "trefoil-500", "windmill(3, 5)", "k5minus",
+                   *(f"random-{seed}" for seed in range(20))]
+WIDE_LEAF_BUILDS = ["product(clique[2,2,70000]@v0, clique[2,2]@v0)", "clique[2,2,70000]"]
+
+
+def compiled_build(name, request):
+    """The strategy a name in COMPILED_BUILDS or WIDE_LEAF_BUILDS names."""
+    if name in ("trefoil", "planar14", "k5minus"):
+        return request.getfixturevalue(f"{name}_composed").strategy
+    if name.startswith("random-"):
+        return random_composition(random.Random(int(name[7:]))).strategy
+    return elaborated(TREFOIL_500 if name == "trefoil-500" else name).strategy
+
+
+class TestCompiledForms:
+    """The compiler tabulates every form it can, and each form's ``top`` is
+    an int that bounds its row."""
+
+    @pytest.mark.parametrize("name", COMPILED_BUILDS)
+    def test_every_form_that_fits_is_tabulated(self, name, request):
+        strategy = compiled_build(name, request)
+        hats, counts = strategy.game.hat_tuple, {}
+        for form in program_forms(strategy._program):
+            if isinstance(form, Gather):
+                continue
+            for row, steps in form.digits:
+                if (row, steps) not in counts:
+                    colors = np.arange(hats[row], dtype=np.uint64)
+                    counts[row, steps] = len(np.unique(strategy_module._steps(colors, steps)))
+            assert math.prod(counts[d] for d in form.digits) > CLIQUE_TABLE_SPAN, (name, type(form).__name__)
+
+    @pytest.mark.parametrize("name", COMPILED_BUILDS + WIDE_LEAF_BUILDS)
+    def test_every_top_is_an_int_that_bounds_its_row(self, name, request):
+        from hats.verifier import _sample_block
+
+        strategy = compiled_build(name, request)
+        program = strategy._program
+        values = program.values(_sample_block(strategy.game, 3, 0, 4096))
+        for form in program_forms(program):
+            assert type(form.top) is int, (name, type(form).__name__)
+            assert int(np.max(form(values))) <= form.top, (name, type(form).__name__)
+            if isinstance(form, Leaf):
+                assert form.top == form.strategy.game.hat_tuple[form.index] - 1
 
 
 class TestCompositeScalarBatchAgreement:

@@ -2,9 +2,11 @@
 silently deselect or skip a test, that the parallel sweep and the solver
 are warning free in a fresh interpreter, that verifying writes nothing to stdout but
 its report, in strict JSON, that a build's output does not depend on
-the interpreter's hash seed, and that the benchmark's verify workloads
-still give the reports it recorded."""
+the interpreter's hash seed, that the benchmark's verify workloads
+still give the reports it recorded, and that the package imports numpy
+and the standard library only."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -170,3 +172,19 @@ def test_bench_solve_set_checks_and_decides():
         assert slot.check(hats, result) is None, slot.label
         decided += slot.decided(result)
     assert len(workload.slots) == 39 and decided >= 36
+
+
+def test_package_imports_numpy_and_the_stdlib_only():
+    # hats has one runtime dependency; a new one must not slip in.
+    foreign = set()
+    for path in sorted((ROOT / "src" / "hats").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign |= {(path.name, name) for name in names
+                        if name.split(".")[0] != "numpy" and name.split(".")[0] not in sys.stdlib_module_names}
+    assert not foreign
