@@ -210,10 +210,11 @@ class CliqueArithStrategy(Strategy):
     (larger moduli raise CapacityError).  Compiled, a sage gathers
     instead: sage i's unreduced partial checksum sum_{j != i} c_j * x_j
     lies below span_i = 1 + sum_{j != i} c_j (a_j - 1), so a table of
-    span_i guesses, built once per instance, answers it with one
-    ``np.take`` and no division.  When some span_i exceeds
-    CLIQUE_TABLE_SPAN entries, each sage runs its own row of the
-    arithmetic instead.
+    span_i guesses answers it with one ``np.take`` and no division.  Each
+    sage compiles on its own: a sage whose span_i exceeds CLIQUE_TABLE_SPAN
+    entries (or whose modulus the arithmetic refuses) compiles to its own
+    row of the arithmetic, which the compiler tabulates like any leaf
+    vertex's where its neighbors' patterns fit.
     """
 
     game: Game
@@ -236,25 +237,16 @@ class CliqueArithStrategy(Strategy):
             raise ContractError(f"interval at {v!r} matched {len(candidates)} colors, expected 1")
         return candidates[0]
 
-    @cached_property
-    def _tables(self) -> tuple[np.ndarray, ...] | None:
-        """Per vertex, its uint64 guess for every unreduced partial
-        checksum; None when a table would exceed CLIQUE_TABLE_SPAN."""
-        reach = [c * (a - 1) for c, a in zip(self.coefficients, self.game.hat_tuple)]
-        spans = [1 + sum(reach) - r for r in reach]
-        if max(spans) > CLIQUE_TABLE_SPAN:
-            return None
-        n = _u(self.modulus)
-        return tuple(
-            _interval_guess(np.arange(span, dtype=U) % n, n, c, s, a)
-            for span, c, s, a in zip(spans, self.coefficients, self.starts, self.game.hat_tuple)
-        )
-
     def _form(self, i: int, digits: tuple):
-        if self._tables is None:
+        others = [j for j in range(len(digits)) if j != i]
+        weights = tuple(self.coefficients[j] for j in others)
+        span = 1 + sum(c * (self.game.hat_tuple[j] - 1) for j, c in zip(others, weights))
+        if span > CLIQUE_TABLE_SPAN or self.modulus > 2 ** 63:  # past 2**63, ``_row`` refuses
             return super()._form(i, digits)
-        rows = [j for j in range(len(digits)) if j != i]
-        return Gather(self._tables[i], tuple(digits[j] for j in rows), tuple(self.coefficients[j] for j in rows))
+        n = _u(self.modulus)
+        table = _interval_guess(np.arange(span, dtype=U) % n, n, self.coefficients[i], self.starts[i],
+                                self.game.hat_tuple[i])
+        return Gather(table, tuple(digits[j] for j in others), weights)
 
     def _row(self, i: int, colors: Sequence[np.ndarray]) -> np.ndarray:
         if self.modulus > 2 ** 63:
@@ -446,6 +438,8 @@ class K5MinusTrapStrategy(Strategy):
         edges = {frozenset(e) for e in self.game.graph.edges}
         if self.game.hatness != K5_HATNESS or edges != {frozenset(e) for e in k5minus_game().graph.edges}:
             raise ContractError("the trap strategy plays only the k5minus game, in any vertex order")
+        if len(self.table.rows) != 14:  # one row per d = (c - b) mod 14
+            raise ContractError(f"a trap table has 14 rows, got {len(self.table.rows)}")
 
     def _shifted_row_sets(self, b14: int, c14: int):
         row = self.table.rows[(c14 - b14) % 14]

@@ -47,7 +47,7 @@ from hats.strategy import (
     shipped_trap_table,
     validate_trap_table,
 )
-from hats.verifier import decode_block
+from hats.verifier import _sample_block, decode_block
 from conftest import naive_verify
 
 
@@ -196,6 +196,26 @@ def strategy_nodes(strategy):
         yield from strategy_nodes(child)
 
 
+def clique_spans(strategy):
+    """Per vertex i of a clique strategy, span_i = 1 + sum_{j != i}
+    c_j (a_j - 1): how many unreduced partial checksums sage i can see."""
+    reach = [c * (a - 1) for c, a in zip(strategy.coefficients, strategy.game.hat_tuple)]
+    return [1 + sum(reach) - r for r in reach]
+
+
+def checksum_gathers(strategy):
+    """Per vertex of a clique strategy, whether its compiled form is the
+    gather on its partial checksum: span_i entries, keyed by the other
+    vertices' colors weighted by their coefficients."""
+    spans, out = clique_spans(strategy), []
+    for i, form in enumerate(strategy._program.forms):
+        others = [j for j in range(len(spans)) if j != i]
+        out.append(isinstance(form, Gather) and len(form.table) == spans[i]
+                   and form.digits == tuple((j, ()) for j in others)
+                   and form.weights == tuple(strategy.coefficients[j] for j in others))
+    return out
+
+
 def both_clique_paths(game, colors, monkeypatch):
     """The compiled gather rows and the uint64 arithmetic rows of the
     clique strategy on ``colors``; the gather tables are built under a
@@ -204,7 +224,7 @@ def both_clique_paths(game, colors, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(strategy_module, "CLIQUE_TABLE_SPAN", 1 << 20)
         gathering = clique_strategy(game)
-        assert gathering._tables is not None
+        assert all(checksum_gathers(gathering))
         gather = list(gathering._program.rows(colors))
     return gather, arith
 
@@ -229,7 +249,10 @@ class TestCliqueBatchPaths:
     def test_paths_straddling_the_span_bound(self, hats, monkeypatch):
         game = clique(hats)
         strategy = clique_strategy(game)
-        assert (strategy._tables is not None) == (hats in self.BELOW)
+        # Each vertex gathers exactly when its own span fits.
+        fits = [span <= CLIQUE_TABLE_SPAN for span in clique_spans(strategy)]
+        assert checksum_gathers(strategy) == fits
+        assert all(fits) == (hats in self.BELOW)
         colors = decode_block(game, 0, game.color_space)
         rows = strategy.guesses_batch(colors)
         gather, arith = both_clique_paths(game, colors, monkeypatch)
@@ -247,7 +270,7 @@ class TestCliqueBatchPaths:
     def test_small_cliques_with_hatness_one(self, hats, monkeypatch):
         game = clique(hats)
         strategy = clique_strategy(game)
-        assert strategy._tables is not None
+        assert all(checksum_gathers(strategy))
         assert_paths_agree(strategy)
         colors = decode_block(game, 0, game.color_space)
         gather, arith = both_clique_paths(game, colors, monkeypatch)
@@ -274,11 +297,43 @@ class TestCliqueBatchPaths:
             cliques = [node for node in strategy_nodes(composed.strategy)
                        if isinstance(node, CliqueArithStrategy)]
             assert len(cliques) >= 9
-            assert all(node._tables is not None for node in cliques)
+            assert all(all(checksum_gathers(node)) for node in cliques)
             program = composed.strategy._program
             forms = list(compiled_forms(program))
             assert len(forms) > len(program.forms)
             assert not any(isinstance(form, Leaf) for form in forms)
+
+
+class TestCliqueVertexByVertex:
+    """Each clique vertex compiles on its own: to the gather on its partial
+    checksum when its own span fits, whatever the other vertices' spans."""
+
+    # Spans by vertex: 79844, 63844, 47969, 47876; 65540, 65540, 43695;
+    # 65537, 1.
+    @pytest.mark.parametrize("hats", [[1, 2, 256, 1000], [2, 2, 21847], [1, 65537]])
+    def test_vertex_whose_span_fits_gathers(self, hats):
+        game = clique(hats)
+        strategy = clique_strategy(game)
+        fits = [span <= CLIQUE_TABLE_SPAN for span in clique_spans(strategy)]
+        assert any(fits) and not all(fits)
+        assert checksum_gathers(strategy) == fits
+        colors = _sample_block(game, 3, 0, 4096)
+        rows = list(strategy._program.rows(colors))
+        assert_same_rows(rows, [strategy._row(i, colors) for i in range(len(hats))])
+        for col in range(0, 4096, 128):
+            assignment = {v: int(colors[i, col]) for i, v in enumerate(game.graph.vertices)}
+            for i, v in enumerate(game.graph.vertices):
+                assert strategy.guess(v, assignment) == int(rows[i][col]), (col, v)
+
+    @pytest.mark.parametrize("hats", [[2 ** 64, 1], [2 ** 63 + 1, 1]])
+    def test_no_table_past_2_63(self, hats):
+        # v0's span is 1, but its table would compute modulo N > 2**63.
+        from hats.constructors import clique_game
+        from hats.verifier import verify_exhaustive
+
+        built = clique_game(hats)
+        with pytest.raises(CapacityError, match=r"clique modulus \d+ is too large"):
+            verify_exhaustive(built.game, built.strategy)
 
 
 def _dtype_cases():
@@ -512,6 +567,30 @@ class TestK5MinusStrategy:
             strategy.guesses_batch(colors)
         with pytest.raises(ContractError, match="orbit"):
             verify_exhaustive(strategy.game, strategy, jobs=1)
+
+    @pytest.mark.parametrize("count", [0, 13, 15])
+    def test_table_without_14_rows_refused(self, count):
+        # Row d = (c - b) mod 14 must exist for every b and c, so a short
+        # table is refused when the strategy is built, not with an
+        # IndexError mid-sweep.
+        rows = shipped_trap_table().rows
+        table = TrapTable((rows * 2)[:count])
+        with pytest.raises(ContractError, match=f"14 rows, got {count}"):
+            K5MinusTrapStrategy(k5minus_game(), table)
+
+    def test_invalid_table_of_14_rows_builds_and_loses(self):
+        # Unvalidated 14-row tables are accepted, so mutants can be built;
+        # rows 0 and 1 swapped lose, and the sweep finds where.
+        from hats.verifier import verify_exhaustive
+
+        rows = shipped_trap_table().rows
+        table = TrapTable((rows[1], rows[0], *rows[2:]))
+        assert validate_trap_table(table)
+        strategy = K5MinusTrapStrategy(k5minus_game(), table)
+        report = verify_exhaustive(strategy.game, strategy, jobs=1)
+        losing = {"A2": 0, "A3": 0, "A14": 1, "B14": 0, "C14": 0}
+        assert (report.checked, report.counterexample, report.min_correct) == (7, losing, 0)
+        assert not any(g.color == losing[g.vertex] for g in evaluate(strategy, losing))
 
 
 def clique_chain(copies):

@@ -3,8 +3,8 @@ silently deselect or skip a test, that the parallel sweep and the solver
 are warning free in a fresh interpreter, that verifying writes nothing to stdout but
 its report, in strict JSON, that a build's output does not depend on
 the interpreter's hash seed, that the benchmark's verify workloads
-still give the reports it recorded, and that the package imports numpy
-and the standard library only."""
+still give the reports it recorded, that the package imports numpy
+and the standard library only, and that it reads every name it imports."""
 
 import ast
 import importlib.util
@@ -188,3 +188,22 @@ def test_package_imports_numpy_and_the_stdlib_only():
             foreign |= {(path.name, name) for name in names
                         if name.split(".")[0] != "numpy" and name.split(".")[0] not in sys.stdlib_module_names}
     assert not foreign
+
+
+def test_package_reads_every_name_it_imports():
+    # A name bound by an import and never read is dead code; __init__.py
+    # imports to re-export, so it is skipped.
+    unused = set()
+    for path in sorted((ROOT / "src" / "hats").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound |= {a.asname or a.name for a in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {(path.name, name) for name in bound - read}
+    assert not unused
