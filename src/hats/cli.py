@@ -75,7 +75,8 @@ def _build_parser() -> _Parser:
     p.add_argument("expr_file")
     p.add_argument("--sample", type=int, help="sample this many assignments instead of sweeping")
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    p.add_argument("--jobs", type=int, help="worker threads (default: all cores, HATS_JOBS overrides)")
+    p.add_argument("--jobs", type=int,
+                   help="at most this many worker threads (default: CPUs this process may use, HATS_JOBS overrides)")
     p.add_argument("--limit", type=int, default=2 ** 64, help="exhaustive capacity limit, at least 1 (clamped to 2**64)")
 
     p = sub.add_parser("solve", help="decide a tiny game exactly")

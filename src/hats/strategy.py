@@ -181,8 +181,8 @@ def _in_interval(t: int, start: int, length: int, modulus: int) -> bool:
 
 
 # Most entries in one guess table: a clique vertex's, or a compiled form
-# tabulated over its inputs.  At 2**16, a table weighs no more than one
-# row of a default sweep chunk.
+# tabulated over its inputs.  At 2**16, a table has an eighth of the
+# entries of one row of a default sweep chunk (2**19 assignments).
 CLIQUE_TABLE_SPAN = 1 << 16
 
 

@@ -5,12 +5,15 @@ of consecutive indices to the strategy's per-block hook
 (``Strategy._correct_counts``), which counts the correct guesses at each
 assignment with its compiled program.  A verify sweep reduces each block
 to its least count and its first assignment nobody guesses; a histogram
-sweep to its histogram of counts.  Worker threads run the blocks and the
-calling thread merges the results in block order, so memory stays at one
+sweep to its histogram of counts.  An exhaustive block holds up to
+``chunk`` assignments, CHUNK = 2**19 by default.  The calling thread runs
+the first block and times it; when the other blocks would take less than
+_SERIAL_SECONDS at that pace, it runs them too, and otherwise worker
+threads run them.  The calling thread merges the results in block order, so memory stays at one
 block per worker and the first counterexample merged is the lowest-index
 one; the sweep stops there.  The report names the lowest-index
 counterexample, sets ``checked`` to its index + 1, and is identical across
-chunk sizes and job counts.
+chunk sizes and job counts, so whether workers start cannot change it.
 
 Exhaustive sources read the assignment index (mixed radix, first vertex
 least significant, so ``limit`` is clamped to 2**64) as a box plan.  The
@@ -63,9 +66,10 @@ from .strategy import Program, Strategy, _narrow, _settled, _steps
 
 DEFAULT_LIMIT = 2 ** 64
 MAX_JOBS = 256
-CHUNK = 1 << 16
+CHUNK = 1 << 19
 SAMPLE_BLOCK = 1 << 14
 PHILOX_DRAW = 1 << 11  # samples drawn at once: keeps the raw words small next to the colors
+_SERIAL_SECONDS = 0.05  # a sweep whose blocks after its first take less runs in one thread
 
 
 @dataclass
@@ -93,7 +97,13 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     if jobs is None:
         env = os.environ.get("HATS_JOBS")
         if not env:
-            return min(os.cpu_count() or 1, MAX_JOBS)
+            # The CPUs this process may run on, which taskset or a cpuset
+            # can make fewer than the machine's.
+            if hasattr(os, "sched_getaffinity"):
+                cpus = len(os.sched_getaffinity(0))
+            else:
+                cpus = os.cpu_count() or 1
+            return min(cpus, MAX_JOBS)
         try:
             jobs = int(env)
         except ValueError:
@@ -331,14 +341,21 @@ def _sample_block(game: Game, seed: int, lo: int, size: int) -> np.ndarray:
     return colors
 
 
-def _in_order(run_block: Callable, starts, workers: int):
-    """``run_block`` of every start, in start order.  The first block runs
-    in the calling thread, so what a sweep makes once (the compiled
-    program, full-row digits, hoisted counts) is made there, before any
-    worker starts.  Several workers then keep up to ``2 * workers`` blocks
-    submitted; closing cancels those not yet started."""
+def _in_order(run_block: Callable, starts, workers: int, blocks: int):
+    """``run_block`` of every start, in start order, of ``blocks`` starts.
+    The first block runs in the calling thread, so what a sweep makes once
+    (the compiled program, full-row digits, hoisted counts) is made there,
+    before any worker starts.  If the other blocks would take less than
+    _SERIAL_SECONDS at the first block's pace, they run there too: a
+    worker would cost more than it saves.  Otherwise several workers keep
+    up to ``2 * workers`` blocks submitted; closing cancels those not yet
+    started."""
     starts = iter(starts)
-    yield from map(run_block, itertools.islice(starts, 1))
+    began = time.perf_counter()
+    first = [run_block(lo) for lo in itertools.islice(starts, 1)]
+    if (time.perf_counter() - began) * (blocks - 1) < _SERIAL_SECONDS:
+        workers = 1
+    yield from first
     if workers == 1:
         yield from map(run_block, starts)
         return
@@ -367,7 +384,7 @@ def _sweep(game: Game, strategy: Strategy, source, jobs: Optional[int], tally: C
         block = source.block(lo)
         return tally(lo, block, np.broadcast_to(strategy._correct_counts(block), block.shape))
 
-    return _in_order(run_block, source.starts(), min(resolve_jobs(jobs), source.blocks))
+    return _in_order(run_block, source.starts(), min(resolve_jobs(jobs), source.blocks), source.blocks)
 
 
 def _least(lo: int, block, counts: np.ndarray) -> tuple:

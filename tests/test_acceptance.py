@@ -140,7 +140,7 @@ def test_criterion_5_trefoil(trefoil_composed):
 def test_criterion_5_trefoil_full_sweep(trefoil_composed):
     composed = trefoil_composed
     start = time.perf_counter()
-    result = verify_exhaustive(composed.game, composed.strategy, chunk=1 << 20)
+    result = verify_exhaustive(composed.game, composed.strategy)
     elapsed = time.perf_counter() - start
     ok = result.counterexample is None and result.checked == 8 * 6 ** 12
     report(5, ok, f"full sweep of {result.checked} assignments clean in {elapsed:.0f}s")

@@ -1,9 +1,11 @@
 import itertools
 import json
 import math
+import os
 import random
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -670,6 +672,20 @@ class Recording(Strategy):
         return self.inner._correct_counts(block)
 
 
+class Sleeping(Recording):
+    """A Recording whose every block first sleeps 20 ms, or 200 ms for a
+    block that starts at an index in ``slow``: at that pace a sweep of a
+    few blocks is long enough to start its workers."""
+
+    def __init__(self, inner, slow=()):
+        super().__init__(inner)
+        self.slow = slow
+
+    def _correct_counts(self, block):
+        time.sleep(0.2 if block.lo in self.slow else 0.02)
+        return super()._correct_counts(block)
+
+
 class TestInOrderSweep:
     def test_one_job_runs_in_the_calling_thread(self):
         game, strategy = k5minus_strategy()
@@ -704,6 +720,47 @@ class TestInOrderSweep:
         with pytest.raises(RuntimeError, match="block failed"):
             win_histogram(game, recording, jobs=2, chunk=1)
         assert len(recording.threads) <= 2 * 2
+
+    def test_slow_blocks_run_on_workers_in_order(self):
+        # k5minus in 14 blocks of 1176, one color of the last row each.
+        game, strategy = k5minus_strategy()
+        caller = threading.get_ident()
+        recording = Sleeping(strategy)
+        hist = win_histogram(game, recording, jobs=2, chunk=1176)
+        assert hist == win_histogram(game, strategy, jobs=1, chunk=1176)
+        assert len(recording.threads) == 14 and recording.threads[0] == caller
+        assert len(set(recording.threads[1:]) - {caller}) == 2
+        recording = Sleeping(strategy)
+        report = verify_exhaustive(game, recording, jobs=2, chunk=1176)
+        assert without_seconds(report) == without_seconds(verify_exhaustive(game, strategy, jobs=1))
+        assert len(set(recording.threads[1:]) - {caller}) == 2
+
+    def test_slow_blocks_stop_one_window_past_a_late_counterexample(self):
+        # 27 blocks of 3 assignments; the first counterexample, all ones at
+        # index 40, is in block 13, so 14 blocks must run.  Block 13 is slow
+        # and later blocks hold counterexamples too: while it runs, the
+        # other worker runs ahead to the end of the window, and a result
+        # merged out of order would change the report.
+        zeros = clique([3, 3, 3, 3])
+        strategy = all_zeros_strategy(zeros)
+        recording = Sleeping(strategy, slow={39})
+        report = verify_exhaustive(zeros, recording, jobs=2, chunk=3)
+        assert without_seconds(report) == without_seconds(verify_exhaustive(zeros, strategy, jobs=1))
+        assert report.checked == 41
+        assert len(set(recording.threads[1:]) - {threading.get_ident()}) == 2
+        assert 14 <= len(recording.threads) <= 14 + 2 * 2
+
+    def test_short_sweep_stays_in_the_calling_thread(self):
+        # 14 blocks of about 0.1 ms each, once the program is compiled: the
+        # other 13 take a few ms, far below the bound at which workers start.
+        game, strategy = k5minus_strategy()
+        expected = win_histogram(game, strategy, jobs=1, chunk=1176)
+        recording = Recording(strategy)
+        before = threading.active_count()
+        assert win_histogram(game, recording, jobs=2, chunk=1176) == expected
+        assert len(recording.threads) == 14
+        assert set(recording.threads) == {threading.get_ident()}
+        assert set(recording.alive) == {before}
 
 
 class TestWinHistogram:
@@ -757,6 +814,23 @@ class TestJobsResolution:
         monkeypatch.setenv("HATS_JOBS", str(jobs))
         with pytest.raises(ContractError, match="jobs"):
             resolve_jobs(None)
+
+    def test_default_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        from hats.verifier import resolve_jobs
+
+        monkeypatch.delenv("HATS_JOBS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+        assert resolve_jobs(None) == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(MAX_JOBS + 44)))
+        assert resolve_jobs(None) == MAX_JOBS
+        monkeypatch.setenv("HATS_JOBS", "5")
+        assert resolve_jobs(None) == 5
+        monkeypatch.delenv("HATS_JOBS")
+        monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS and Windows
+        assert resolve_jobs(None) == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_jobs(None) == 1
 
     def test_bounds_accepted(self, monkeypatch):
         from hats.verifier import resolve_jobs
