@@ -764,12 +764,18 @@ class Program:
             lut = _steps(np.arange(hats[row], dtype=U), steps) if steps and hats[row] <= CLIQUE_TABLE_SPAN else None
             self._luts[row, steps] = lut if lut is None else _narrow(lut)
 
-    def values(self, colors: Sequence[np.ndarray]) -> dict:
-        """Every digit the forms read, from one row of colors per vertex;
-        a row of unsigned colors is read as it is."""
+    def values(self, colors: Sequence[np.ndarray], known: Mapping | None = None) -> dict:
+        """Every digit the forms read, from one row of colors per vertex
+        (of any shapes that broadcast together), except those ``known``
+        holds already; a row of unsigned colors is read as it is.  Only a
+        lookup table narrows: a digit of a row with more than
+        CLIQUE_TABLE_SPAN colors keeps the uint64 of ``_steps``."""
         rows = [row if row.dtype.kind == "u" else row.astype(U) for row in map(np.asarray, colors)]
-        return {(row, steps): _steps(rows[row], steps) if lut is None else np.take(lut, rows[row])
-                for (row, steps), lut in self._luts.items()}
+        values = dict(known or {})
+        for (row, steps), lut in self._luts.items():
+            if (row, steps) not in values:
+                values[row, steps] = _steps(rows[row], steps) if lut is None else np.take(lut, rows[row])
+        return values
 
     def rows(self, colors: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
         """Each vertex's row of guesses, in order, made when it is asked for."""

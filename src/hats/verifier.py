@@ -1,19 +1,22 @@
 """Exhaustive and sampled verification that a strategy wins.
 
-One sweep loop serves all three entry points.  A source hands each block
-of consecutive indices to the strategy's per-block hook
-(``Strategy._correct_counts``), which counts the correct guesses at each
-assignment with its compiled program.  A verify sweep reduces each block
-to its least count and its first assignment nobody guesses; a histogram
-sweep to its histogram of counts.  An exhaustive block holds up to
-``chunk`` assignments, CHUNK = 2**19 by default.  The calling thread runs
-the first block and times it; when the other blocks would take less than
+One sweep loop serves all three entry points.  A source makes each block
+of consecutive indices as one unsigned array of colors per vertex and
+hands it to the strategy's per-block hook (``Strategy._correct_counts``),
+which counts the correct guesses at each assignment with its compiled
+program: every digit a form reads is made from the block's colors by
+``Program.values``.  A verify sweep reduces each block to its least count
+and its first assignment nobody guesses; a histogram sweep to its
+histogram of counts.  An exhaustive block holds up to ``chunk``
+assignments, CHUNK = 2**19 by default.  The calling thread runs the first
+block and times it; when the other blocks would take less than
 _SERIAL_SECONDS at that pace, it runs them too, and otherwise worker
-threads run them.  The calling thread merges the results in block order, so memory stays at one
-block per worker and the first counterexample merged is the lowest-index
-one; the sweep stops there.  The report names the lowest-index
-counterexample, sets ``checked`` to its index + 1, and is identical across
-chunk sizes and job counts, so whether workers start cannot change it.
+threads run them.  The calling thread merges the results in block
+order, so memory stays at one block per worker and the first
+counterexample merged is the lowest-index one; the sweep stops there.
+The report names the lowest-index counterexample, sets ``checked`` to its
+index + 1, and is identical across chunk sizes and job counts, so whether
+workers start cannot change it.
 
 Exhaustive sources read the assignment index (mixed radix, first vertex
 least significant, so ``limit`` is clamped to 2**64) as a box plan.  The
@@ -21,27 +24,31 @@ leading rows whose hatnesses multiply to P at most one block are full
 axes; the next row is cut into runs of block // P colors; each row above
 it is fixed within a block and decoded from the block's start as a Python
 int.  A block is a box, an array with one axis per full row and one for
-the run, so no index is ever divided and no row is tiled: a digit of a
-full row is its hatness's arange along its axis, one of the run is the
-run's colors, one of a fixed row is a single element, and each form
-broadcasts over only the axes it reads.  The axes are laid out with the
-rows most sages read outermost, so a row broadcast against a whole block
-runs numpy's inner loop over the other rows; a block's counts are read in
-index order through a transpose.  What reads only full rows is the same
-in every block and is made once per sweep by its first block, which runs
-in the calling thread before any worker starts: the full rows' digits,
-the correct guesses of the sages that read nothing else, and each part of
-a form that reads nothing else (see ``strategy._settled``).  The
-program's rows stay in the narrow dtypes of its forms (see
-``strategy``), so a block compares narrow guesses with narrow colors.  A
-counterexample is decoded exactly from its index.
+the run, so no index is ever divided and no row is tiled: a full row's
+colors are its hatness's arange along its axis, the split row's are the
+run's colors along its axis and a fixed row's is a single element, so
+each form broadcasts over only the axes its digits vary on.  The axes are
+laid out with the rows most sages read outermost, so a row broadcast
+against a whole block runs numpy's inner loop over the other rows; a
+block's counts are read in index order through a transpose, and a
+counterexample is read from the block's colors at its position.  What
+reads only full rows is the same in every block and is made once per
+sweep by its first block, which runs in the calling thread before any
+worker starts: the full rows' digits, the correct guesses of the sages
+that read nothing else, and each part of a form that reads nothing else
+(see ``strategy._settled``).  Each row's colors are kept in the narrowest
+unsigned dtype that holds its hatness - 1, and the program's digits and
+rows in the narrow dtypes of its lookup tables and forms (see
+``strategy``), so a block compares narrow guesses with narrow colors.
 
 Sampled verification draws colors with the Philox counter-based
 generator so reports are reproducible: sample s of vertex i consumes the
 two 64-bit words at stream positions 2*(s*V + i) and 2*(s*V + i) + 1,
 and the color is their 128-bit value reduced modulo the hatness, exactly
 in uint64 for hatnesses up to 2**32 (larger ones raise CapacityError),
-and kept in the narrowest unsigned dtype that holds every color.
+and kept in the narrowest unsigned dtype that holds every color.  A
+sampled block is a row of SAMPLE_BLOCK colors per vertex and shares
+nothing with the others, so nothing is made once per sweep.
 A counterexample found by sampling disproves the strategy; a clean run
 is evidence only, never a proof.
 """
@@ -61,8 +68,8 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .core import Assignment, CapacityError, ContractError, Game, assignment_at, require_int
-from .strategy import Program, Strategy, _narrow, _settled, _steps
+from .core import Assignment, CapacityError, ContractError, Game, require_int
+from .strategy import Program, Strategy, _settled
 
 DEFAULT_LIMIT = 2 ** 64
 MAX_JOBS = 256
@@ -142,6 +149,30 @@ def _summed(parts, dtype) -> np.ndarray:
     return total
 
 
+class _Block:
+    """A block of a sweep that starts at index ``lo``: ``colors[i]`` holds
+    vertex i's colors, unsigned and broadcastable to ``shape``, and
+    ``order`` reads the block's axes in index order.  ``source.hoisted``
+    gives what every block of the sweep shares."""
+
+    def __init__(self, source, lo: int, shape: tuple, order: tuple, colors):
+        self.source, self.lo, self.shape, self.order, self.colors = source, lo, shape, order, colors
+
+    def count(self, program: Program) -> np.ndarray:
+        """How many sages guess right, from the digits ``program`` makes of
+        the colors, less those the sweep has made already."""
+        known, counts, rest = self.source.hoisted(program)
+        values = program.values(self.colors, known)
+        hits = [form(values) == self.colors[i] for i, form in rest]
+        return _summed([counts, *hits], np.min_scalar_type(len(program.forms)))
+
+    def assignment(self, col: int) -> Assignment:
+        """The assignment at ``col`` of the block's indices, in index order."""
+        at = np.unravel_index(col, [self.shape[axis] for axis in self.order])
+        return {v: int(np.broadcast_to(c, self.shape).transpose(self.order)[at])
+                for v, c in zip(self.source.game.graph.vertices, self.colors)}
+
+
 class _Boxes:
     """The exhaustive index space as box-shaped blocks of at most ``size``
     indices.  Rows 0 .. k-1, whose hatnesses multiply to P = places[k] <=
@@ -151,12 +182,8 @@ class _Boxes:
     Its axes are laid out with the rows that most sages read outermost
     (ties in index order), so that a row broadcast against a whole block
     runs numpy's inner loop over the rows it does not vary on; ``order``
-    reads the axes in index order.
-
-    The full rows' digits, the correct guesses of the sages that read only
-    full rows, and each part of a form that reads only full rows, are the
-    same in every block: they are made once per sweep, by its first
-    block."""
+    reads the axes in index order.  The full rows' colors are the same in
+    every block and are made once."""
 
     def __init__(self, game: Game, size: int):
         hats, graph = game.hat_tuple, game.graph
@@ -173,50 +200,53 @@ class _Boxes:
         self.order = tuple(self.axis[r] for r in rows)
         self.shape = tuple(1 if r == k else hats[r] for r in layout)
         self.blocks = 1 if k == len(hats) else self.total // self.places[k + 1] * -(-hats[k] // self.width)
-        self.count_dtype = np.min_scalar_type(len(hats))
-        self._full, self._hoisted = {}, {}
+        self.full_rows = tuple(self.colors(row, 0, hats[row]) for row in range(k))
+        for row in self.full_rows:  # shared by every block and worker
+            row.setflags(write=False)
+        self._hoisted = {}
 
-    def run(self, lo: int) -> tuple[int, int]:
-        """The first color of the split row in the block at ``lo``, and how
-        many it holds."""
+    def run(self, lo: int) -> int:
+        """How many colors of the split row the block at ``lo`` holds."""
         if self.split == len(self.game.hat_tuple):
-            return 0, 1
+            return 1
         h = self.game.hat_tuple[self.split]
-        first = lo // self.places[self.split] % h
-        return first, min(self.width, h - first)
+        return min(self.width, h - lo // self.places[self.split] % h)
 
     def starts(self) -> Iterator[int]:
         lo = 0
         while lo < self.total:
             yield lo
-            lo += self.run(lo)[1] * self.places[self.split]
+            lo += self.run(lo) * self.places[self.split]
 
-    def block(self, lo: int) -> _Box:
-        return _Box(self, lo)
-
-    def along(self, row: int, colors: np.ndarray, steps) -> np.ndarray:
-        """A digit of ``colors`` of ``row``, narrow, along the row's axis."""
-        shape = [1] * len(self.shape)
+    def colors(self, row: int, first: int, n: int) -> np.ndarray:
+        """Colors first .. first + n - 1 of ``row``, along its axis."""
+        along = [1] * len(self.shape)
         if row in self.axis:
-            shape[self.axis[row]] = -1
-        return _narrow(_steps(colors, steps)).reshape(shape)
+            along[self.axis[row]] = -1
+        dtype = np.min_scalar_type(self.game.hat_tuple[row] - 1)
+        return np.arange(first, first + n, dtype=dtype).reshape(along)
 
-    def full(self, digit) -> np.ndarray:
-        """A full row's digit, made once per sweep."""
-        got = self._full.get(digit)
-        if got is None:
-            row, steps = digit
-            colors = np.arange(self.game.hat_tuple[row], dtype=np.uint64)
-            got = self._full.setdefault(digit, self.along(row, colors, steps))
-        return got
+    def block(self, lo: int) -> _Block:
+        """The block at ``lo``: the full rows' colors, the split row's run
+        and each fixed row's one color."""
+        hats, run = self.game.hat_tuple, self.run(lo)
+        shape = list(self.shape)
+        shape[self.axis[self.split]] = run
+        colors = list(self.full_rows)
+        for row in range(self.split, len(hats)):
+            n = run if row == self.split else 1
+            colors.append(self.colors(row, lo // self.places[row] % hats[row], n))
+        return _Block(self, lo, tuple(shape), self.order, colors)
 
-    def hoisted(self, program: Program) -> tuple[np.ndarray, tuple]:
-        """How many sages that read only full rows guess right (a row that
+    def hoisted(self, program: Program) -> tuple[dict, np.ndarray, tuple]:
+        """What reads only full rows, made once per sweep: their digits,
+        how many sages that read nothing else guess right (a row that
         broadcasts to the full rows' shape), and (row, form) of each other
         sage, with the parts that read only full rows made."""
         got = self._hoisted.get(program)
         if got is None:
-            values = self.block(0)
+            colors = self.block(0).colors
+            values = program.values(colors)
 
             def known(form) -> Optional[np.ndarray]:
                 return form(values) if all(row < self.split for row, _ in form.digits) else None
@@ -227,72 +257,16 @@ class _Boxes:
                 if row is None:
                     rest.append((i, _settled(form, known)))
                 else:
-                    hits.append(row == values[i, ()])
-            counts = _summed(hits, self.count_dtype)
-            got = self._hoisted.setdefault(program, (counts, tuple(rest)))
+                    hits.append(row == colors[i])
+            full = {d: x for d, x in values.items() if d[0] < self.split}
+            counts = _summed(hits, np.min_scalar_type(len(program.forms)))
+            got = self._hoisted.setdefault(program, (full, counts, tuple(rest)))
         return got
-
-
-class _Box(dict):
-    """The block of an exhaustive sweep that starts at index ``lo``, as the
-    digits its forms read; each is made when first read.  A digit of a full
-    row lies along its axis, one of the split row is the block's run of its
-    colors along that row's axis, and one of a fixed row is one element."""
-
-    def __init__(self, boxes: _Boxes, lo: int):
-        super().__init__(boxes._full)
-        self.boxes, self.lo, self.order = boxes, lo, boxes.order
-        self.first, run = boxes.run(lo)
-        shape = list(boxes.shape)
-        shape[boxes.axis[boxes.split]] = run
-        self.shape = tuple(shape)
-
-    def __missing__(self, digit) -> np.ndarray:
-        row, steps = digit
-        boxes = self.boxes
-        if row < boxes.split:
-            got = boxes.full(digit)
-        elif row == boxes.split:
-            got = boxes.along(row, np.arange(self.shape[boxes.axis[row]], dtype=np.uint64)
-                              + np.uint64(self.first), steps)
-        else:
-            color = self.lo // boxes.places[row] % boxes.game.hat_tuple[row]
-            got = boxes.along(row, np.array([color], dtype=np.uint64), steps)
-        self[digit] = got
-        return got
-
-    @property
-    def colors(self) -> list[np.ndarray]:
-        return [self[i, ()] for i in range(len(self.boxes.game.hat_tuple))]
-
-    def count(self, program: Program) -> np.ndarray:
-        counts, rest = self.boxes.hoisted(program)
-        hits = [form(self) == self[i, ()] for i, form in rest]
-        return _summed([counts, *hits], self.boxes.count_dtype)
-
-    def assignment(self, col: int) -> Assignment:
-        return assignment_at(self.boxes.game, self.lo + col)
-
-
-class _Drawn:
-    """A block of drawn colors: row i of the (V, n) unsigned ``colors`` is
-    vertex i's."""
-
-    def __init__(self, game: Game, colors: np.ndarray):
-        self.game, self.colors, self.shape, self.order = game, colors, colors.shape[1:], (0,)
-
-    def count(self, program: Program) -> np.ndarray:
-        values = program.values(self.colors)
-        hits = (form(values) == color for form, color in zip(program.forms, self.colors))
-        return _summed(hits, np.min_scalar_type(len(self.colors)))
-
-    def assignment(self, col: int) -> Assignment:
-        return {v: int(c) for v, c in zip(self.game.graph.vertices, self.colors[:, col])}
 
 
 class _Samples:
     """Samples 0 .. total - 1 of the seeded Philox stream, in blocks of
-    SAMPLE_BLOCK."""
+    SAMPLE_BLOCK; a block shares nothing with the others."""
 
     def __init__(self, game: Game, seed: int, total: int):
         self.game, self.seed, self.total = game, seed, total
@@ -301,8 +275,13 @@ class _Samples:
     def starts(self) -> range:
         return range(0, self.total, SAMPLE_BLOCK)
 
-    def block(self, lo: int) -> _Drawn:
-        return _Drawn(self.game, _sample_block(self.game, self.seed, lo, min(SAMPLE_BLOCK, self.total - lo)))
+    def block(self, lo: int) -> _Block:
+        size = min(SAMPLE_BLOCK, self.total - lo)
+        return _Block(self, lo, (size,), (0,), _sample_block(self.game, self.seed, lo, size))
+
+    def hoisted(self, program: Program) -> tuple[dict, np.ndarray, tuple]:
+        """Nothing made ahead: every sage is counted in every block."""
+        return {}, np.zeros(1, np.uint8), tuple(enumerate(program.forms))
 
 
 def decode_block(game: Game, lo: int, size: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -375,3 +376,72 @@ class TestUsageErrors:
         code, _, err = run(capsys, "verify", expr("product(clique[2,6]@v0, clique[2,6]@v0)"))
         assert code == EX_USAGE
         assert "winning factors" in err
+
+
+NAMES = ("v0", "v1", "v2", "A2", "A3", "A14", "B14", "O",
+         '"L/v1"', '"R/v1"', '"R/A3"', '"0/v1"', '"1/A3"', "x")
+
+
+def random_expression(rng, depth=0):
+    """A seeded expression of the DSL's grammar over small bricks; its
+    vertex names come from a pool that often, but not always, exists."""
+    if depth == 3 or rng.random() < 0.35:
+        brick = rng.choice(["clique"] * 4 + ["k5minus", "game26666", "windmill"])
+        if brick == "clique":
+            hats = [rng.choice([1, 2, 2, 3, 4, 6]) for _ in range(rng.randint(1, 3))]
+            return f"clique[{','.join(map(str, hats))}]"
+        if brick == "windmill":
+            return f"windmill({rng.randint(1, 3)}, {rng.randint(1, 3)})"
+        return brick
+    op, first = rng.choice(["product", "cone", "lower"]), random_expression(rng, depth + 1)
+    if op == "product":
+        second = random_expression(rng, depth + 1)
+        return f"product({first}@{rng.choice(NAMES)}, {second}@{rng.choice(NAMES)})"
+    if op == "cone":
+        petal = f"{first}@{rng.choice(NAMES)}/{rng.choice(NAMES)}"
+        return f"cone({random_expression(rng, 3)}; {', '.join([petal] * rng.randint(1, 2))})"
+    return f"lower({first}; {rng.choice(NAMES)}={rng.randint(0, 4)})"
+
+
+def mutated(rng, text):
+    """``text`` with one character deleted, repeated or replaced, or cut short."""
+    at = rng.randrange(len(text))
+    return rng.choice([
+        text[:at] + text[at + 1:],
+        text[:at] + text[at] + text[at:],
+        text[:at] + rng.choice("()[]@;,=/\"0123456789x ") + text[at + 1:],
+        text[:at],
+    ])
+
+
+def test_seeded_expressions_exit_with_a_documented_code(tmp_path, capsys):
+    # 300 seeded expressions, about a third of them mutated, each built
+    # and put through one of info, verify --limit and verify --sample in
+    # turn; each built game document, or a mutated copy of it, through
+    # solve and embed-check.  No exception may escape, and every exit code
+    # is one the README names.
+    rng = random.Random(2026)
+    source, doc = tmp_path / "game.expr", tmp_path / "game.json"
+    checks = (("info",), ("verify", "--limit", "4096", "--jobs", "1"),
+              ("verify", "--sample", "64", "--jobs", "1"))
+    codes = {}
+
+    def run_cli(command, path, *options):
+        codes.setdefault(command, set()).add(main([command, str(path), *options]))
+        capsys.readouterr()
+
+    for n in range(300):
+        text = random_expression(rng)
+        source.write_text(mutated(rng, text) if rng.random() < 1 / 3 else text)
+        command, *options = checks[n % 3]
+        run_cli(command, source, *options)
+        run_cli("build", source, "--out", str(doc))
+        if doc.exists():
+            built = doc.read_text()
+            doc.write_text(built if n % 2 else mutated(rng, built))
+            run_cli("solve", doc, "--budget", "5")
+            run_cli("embed-check", doc)
+            doc.unlink()
+    assert set().union(*codes.values()) <= {EX_OK, EX_FAIL, EX_UNKNOWN, EX_USAGE}
+    assert set(codes) == {"info", "build", "verify", "solve", "embed-check"}
+    assert {EX_OK, EX_USAGE} <= codes["build"] and EX_OK in codes["verify"] and EX_FAIL in codes["verify"]

@@ -420,9 +420,11 @@ def test_every_digit_is_unsigned(name, monkeypatch):
     digits = {d for form in program.forms for d in form.digits}
     assert any(steps == () for _, steps in digits)
     boxes = _Boxes(composed.game, CHUNK)
+    known, _, _ = boxes.hoisted(program)
     for lo in itertools.islice(boxes.starts(), 0, 4, 3):
         block = boxes.block(lo)
-        assert {block[d].dtype.kind for d in digits} == {"u"}
+        values = program.values(block.colors, known)
+        assert {values[d].dtype.kind for d in digits} == {"u"}
         assert {row.dtype.kind for row in block.colors} == {"u"}
 
 
@@ -996,7 +998,7 @@ class TestCompiledAgainstScalar:
         colors = random_colors(game, np.random.default_rng(14), n)
         boxes = _Boxes(game, n)
         block = boxes.block(next(itertools.islice(boxes.starts(), 3, None)))
-        for values, shape in ((block, block.shape), (program.values(colors), (n,))):
+        for values, shape in ((program.values(block.colors), block.shape), (program.values(colors), (n,))):
             for g in gathers:
                 key = np.zeros(shape, dtype=np.intp)
                 for d, w in zip(g.digits, g.weights):

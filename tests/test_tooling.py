@@ -4,7 +4,9 @@ are warning free in a fresh interpreter, that verifying writes nothing to stdout
 its report, in strict JSON, that a build's output does not depend on
 the interpreter's hash seed, that the benchmark's verify workloads
 still give the reports it recorded, that the package imports numpy
-and the standard library only, and that it reads every name it imports."""
+and the standard library only, that it reads every name it imports,
+and that the verifier takes from the strategy module only the program,
+the strategy base class and ``_settled``."""
 
 import ast
 import importlib.util
@@ -207,3 +209,13 @@ def test_package_reads_every_name_it_imports():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused |= {(path.name, name) for name in bound - read}
     assert not unused
+
+
+def test_verifier_reads_the_strategy_module_through_the_program():
+    # A sweep's digits come from Program.values alone: the verifier knows
+    # no digit format of its own, so it imports no digit helper.
+    path = ROOT / "src" / "hats" / "verifier.py"
+    imports = [node for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.ImportFrom) and "strategy" in (node.module or "")]
+    assert [(node.level, node.module) for node in imports] == [(1, "strategy")]
+    assert {alias.name for alias in imports[0].names} == {"Program", "Strategy", "_settled"}

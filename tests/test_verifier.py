@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,14 +23,16 @@ from hats.core import (
     assignment_index,
     complete_graph,
 )
-from hats.strategy import Strategy, TableStrategy, clique_strategy, k5minus_strategy
+from hats.strategy import Program, Strategy, TableStrategy, clique_strategy, k5minus_strategy
 from hats.verifier import (
     CHUNK,
     MAX_JOBS,
     SAMPLE_BLOCK,
     VerifyReport,
     decode_block,
+    _Block,
     _Boxes,
+    _Samples,
     verify_exhaustive,
     verify_sampled,
     win_histogram,
@@ -344,6 +347,16 @@ def _block_of(boxes, t):
     return boxes.block(t - t % full - run % boxes.width * full)
 
 
+def _reading(game, digits):
+    """A Program over ``game`` and one more sage, of hatness 1 and seeing
+    every vertex, who reads ``digits``: its ``values`` of a block's colors
+    are the digits a sweep makes of them."""
+    names = (*game.graph.vertices, "reader")
+    wider = Game(complete_graph(names), {**{v: game.h(v) for v in game.graph.vertices}, "reader": 1})
+    forms = [SimpleNamespace(digits=(), top=0)] * len(game.graph.vertices)
+    return Program(wider, (*forms, SimpleNamespace(digits=tuple(digits), top=0)))
+
+
 def _raveled(block, x):
     """``x`` broadcast to ``block``, its axes in index order, raveled: the
     value at each index of the block, in index order."""
@@ -377,9 +390,10 @@ def decode_cases(draw):
 
 
 class TestPeriodicDecode:
-    """Each row, and each digit a program reads of it, along a full axis, as
-    the split row's run or as a fixed row's one color, must equal the exact
-    decode of every index of the block it belongs to."""
+    """Each row's colors, along a full axis, as the split row's run or as a
+    fixed row's one color, each digit a program makes of them, and each
+    assignment read from them, must equal the exact decode of every index
+    of the block it belongs to."""
 
     @given(decode_cases())
     @example(([1, 2 ** 64], 1 << 16, 2 ** 64 - 16, 16, ((1, 7),)))
@@ -388,6 +402,7 @@ class TestPeriodicDecode:
         hats, chunk, lo, n, steps = case
         game = clique(hats)
         boxes, _ = _plan(hats, chunk)
+        program = _reading(game, [(i, steps) for i in range(len(hats))])
         want = [assignment_at(game, lo + col) for col in range(n)]
         decoded = decode_block(game, lo, n)
         blocks = {}
@@ -397,8 +412,10 @@ class TestPeriodicDecode:
         for block, indices in blocks.values():
             assert block.lo <= indices[0] and indices[-1] < block.lo + math.prod(block.shape)
             cols = [t - block.lo for t in indices]
+            assert [block.assignment(col) for col in cols] == [want[t - lo] for t in indices]
+            values = program.values(block.colors)
             for i, v in enumerate(game.graph.vertices):
-                color, digit = block[i, ()], block[i, steps]
+                color, digit = block.colors[i], values[i, steps]
                 assert color.dtype.kind == digit.dtype.kind == "u"
                 expect = [want[t - lo][v] for t in indices]
                 assert [int(c) for c in _raveled(block, color)[cols]] == expect
@@ -482,7 +499,7 @@ def _planted(strategy, hoisted):
 
 def _hoisted(boxes, program):
     """The rows of the sages the plan counts once per sweep."""
-    _, rest = boxes.hoisted(program)
+    _, _, rest = boxes.hoisted(program)
     return set(range(len(program.forms))) - {i for i, _ in rest}
 
 
@@ -578,16 +595,17 @@ class TestPeriodicSweep:
                          *(f for f, _ in getattr(form, "hits", ()))):
                 freeze_known(part)
 
-        full, hoisted = _Boxes.full, _Boxes.hoisted
+        hoisted = _Boxes.hoisted
 
         def frozen_hoisted(self, program):
-            counts, rest = hoisted(self, program)
+            full, counts, rest = hoisted(self, program)
+            for digit in full.values():
+                freeze("full", digit)
             freeze("counts", counts)
             for _, form in rest:
                 freeze_known(form)
-            return counts, rest
+            return full, counts, rest
 
-        monkeypatch.setattr(_Boxes, "full", lambda self, digit: freeze("full", full(self, digit)))
         monkeypatch.setattr(_Boxes, "hoisted", frozen_hoisted)
         return frozen
 
@@ -604,6 +622,33 @@ class TestPeriodicSweep:
         else:
             self._check_across_periods(((CHUNK, 1), (CHUNK, 2)))
         assert frozen["full"] and frozen["counts"] and frozen["known"]
+
+
+@pytest.mark.parametrize("build", [*(f"random-{seed}" for seed in range(0, 45, 4)), "trefoil-500"])
+def test_box_block_counts_as_its_raveled_drawn_block(build):
+    # One count serves both sources: a box block, with what reads only full
+    # rows made once per sweep, must count at each index what the same
+    # colors raveled into a drawn block count, with nothing made ahead.
+    from hats.dsl import elaborate, parse
+    from test_strategy import TREFOIL_500, random_composition
+
+    if build == "trefoil-500":
+        composed, chunks = elaborate(parse(TREFOIL_500)), (CHUNK,)
+    else:
+        composed, chunks = random_composition(random.Random(int(build.split("-")[1]))), (64, 4096)
+    game, program, hoisted = composed.game, composed.strategy._program, set()
+    for chunk in chunks:
+        boxes = _Boxes(game, min(chunk, game.color_space))
+        hoisted |= _hoisted(boxes, program)
+        starts = list(itertools.islice(boxes.starts(), 2))
+        for block in (*map(boxes.block, starts), _block_of(boxes, game.color_space - 1)):
+            colors = np.stack([_raveled(block, row) for row in block.colors])
+            drawn = _Block(_Samples(game, 0, colors.shape[1]), block.lo, colors.shape[1:], (0,), colors)
+            np.testing.assert_array_equal(_raveled(block, block.count(program)),
+                                          np.broadcast_to(drawn.count(program), drawn.shape))
+            for col in (0, colors.shape[1] // 2, colors.shape[1] - 1):
+                assert drawn.assignment(col) == block.assignment(col) == assignment_at(game, block.lo + col)
+    assert hoisted
 
 
 def _box_forms():
@@ -642,17 +687,19 @@ def test_form_on_broadcast_digits_matches_the_raveled_block(kind):
     # what the same form gives on the block's digits raveled to one row.
     # Blocks share their digits, so no form may write into one.
     game, form, chunk = _box_forms()[kind]
+    program = _reading(game, form.digits)
     boxes = _Boxes(game, chunk)
     starts = list(itertools.islice(boxes.starts(), 3))
     for lo in (*starts, game.color_space - 1):
         block = _block_of(boxes, lo)
+        values = program.values(block.colors)
         for d in form.digits:
-            block[d].setflags(write=False)
-        got = form(block)
-        flat = {d: _raveled(block, block[d]) for d in form.digits}
+            values[d].setflags(write=False)
+        got = form(values)
+        flat = {d: _raveled(block, values[d]) for d in form.digits}
         assert len(got.shape) == len(block.shape)
         if kind == "Leaf":
-            assert got.shape == np.broadcast_shapes(*(block[d].shape for d in form.digits))
+            assert got.shape == np.broadcast_shapes(*(values[d].shape for d in form.digits))
         np.testing.assert_array_equal(_raveled(block, got), form(flat))
 
 
