@@ -16,6 +16,7 @@ missing certificate), 64 usage, file or expression errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -62,7 +63,9 @@ def export_dot(game: Game) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser every `main` call shares; parsing leaves it unchanged."""
     parser = _Parser(prog="hats", description="Hat-guessing games on graphs")
     sub = parser.add_subparsers(dest="command", required=True)
 

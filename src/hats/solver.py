@@ -18,8 +18,17 @@ the remaining assignments even in the best case (each cell can newly
 cover at most the number of assignments that agree with it on the
 pattern and the chosen color).
 
-The undo trail holds domain removals only, one (cell, color) each; every
-count is a function of the domains, so undo recomputes it.
+Fixing a cell is one removal of every other color.  The undo trail
+holds one (cell, mask of removed colors) entry per removal, and every
+count is a function of the domains, so undo recomputes it.  Each cell
+keeps its referencing assignments in one list per color, so a removal
+walks only the lists of the colors it removes and of the color it
+fixes.  An assignment's two counts, its live options and the fixed
+cells already guessing its color, are packed into one branch key,
+live + stride * fixed with stride above every live count: the key is
+below stride iff the assignment is uncovered, and is then its live
+option count.  The branching pick is the first index of the key list's
+minimum, found without a Python loop over the assignments.
 """
 
 from __future__ import annotations
@@ -102,101 +111,115 @@ class _Search:
             self.cell_cap += [math.prod(game.h(u) for u in verts if u not in closed)] * count
 
         # Per assignment: its option list [(cell, own color)] in vertex
-        # order; per cell: the assignments referencing it.
+        # order; per cell and color: the assignments whose own color it
+        # is, in assignment order.
         self.options: list[list[tuple[int, int]]] = [[] for _ in range(total)]
-        self.cell_refs: list[list[tuple[int, int]]] = [[] for _ in self.dom]
+        self.refs: list[list[list[int]]] = [
+            [[] for _ in range(game.h(v))]
+            for v, count in zip(verts, self.pattern_counts) for _ in range(count)
+        ]
         colors = decode_block(game, 0, total)
         for i in range(len(verts)):
             cells = (self.cell_base[i] + pattern_indices(game, i, colors)).tolist()
             for a, (cell, own) in enumerate(zip(cells, colors[i].tolist())):
                 self.options[a].append((cell, own))
-                self.cell_refs[cell].append((a, own))
+                self.refs[cell][own].append(a)
 
-        # Counts derived from the domains: per assignment its live options
-        # and the fixed cells already guessing its color; the assignments
-        # with none; the summed capacity of the cells with two or more
-        # colors.  Hatness-1 cells start fixed at color 0.
-        self.npos = [len(verts)] * total
-        self.assured = [0] * total
+        # Counts derived from the domains: per assignment its branch key
+        # npos + stride * assured (live options, and fixed cells already
+        # guessing its color); the assignments with no such cell; the
+        # summed capacity of the cells with two or more colors.
+        # Hatness-1 cells start fixed at color 0.
+        self.stride = len(verts) + 1
+        self.key = [len(verts)] * total
         for cell, dom in enumerate(self.dom):
             if dom == 1:
-                for a, _ in self.cell_refs[cell]:
-                    self.assured[a] += 1
-        self.uncovered = self.assured.count(0)
+                for a in self.refs[cell][0]:
+                    self.key[a] += self.stride
+        self.uncovered = sum(k < self.stride for k in self.key)
         self.potential = sum(cap for dom, cap in zip(self.dom, self.cell_cap) if dom & (dom - 1))
-        self.trail: list[tuple[int, int]] = []  # removed (cell, color)
+        self.trail: list[tuple[int, int]] = []  # (cell, mask of removed colors)
         self.units: deque[int] = deque()
         self.nodes = 0
 
+    @property
+    def npos(self) -> list[int]:
+        """Per assignment: its live options."""
+        return [k % self.stride for k in self.key]
+
+    @property
+    def assured(self) -> list[int]:
+        """Per assignment: the fixed cells guessing its color."""
+        return [k // self.stride for k in self.key]
+
     # -- state updates ----------------------------------------------------
 
-    def _remove(self, cell: int, color: int) -> bool:
-        """Drop a color from a cell's domain; False on conflict.  Counts
-        are updated even then: every False is undone before they are read."""
-        dom = self.dom[cell] & ~(1 << color)
-        if dom == self.dom[cell]:
+    def _remove(self, cell: int, mask: int) -> bool:
+        """Drop the colors in a mask from a cell's domain; False on
+        conflict.  Counts are updated even then: every False is undone
+        before they are read."""
+        old = self.dom[cell]
+        gone = old & mask
+        if not gone:
             return True
+        dom = old ^ gone
         self.dom[cell] = dom
-        self.trail.append((cell, color))
-        fixed = -1 if dom & (dom - 1) else dom.bit_length() - 1
-        if fixed >= 0:
-            self.potential -= self.cell_cap[cell]
-        npos, assured = self.npos, self.assured
+        self.trail.append((cell, gone))
+        refs, key = self.refs[cell], self.key
         ok = dom != 0
-        for a, req in self.cell_refs[cell]:
-            if req == color:
-                npos[a] -= 1
-                if assured[a] == 0:
-                    if npos[a] == 0:
+        while gone:
+            low = gone & -gone
+            gone ^= low
+            for a in refs[low.bit_length() - 1]:
+                n = key[a] = key[a] - 1
+                if n < 2:
+                    if n == 0:
                         ok = False
-                    elif npos[a] == 1:
+                    else:
                         self.units.append(a)
-            elif req == fixed:
-                if assured[a] == 0:
+        if dom and not dom & (dom - 1):
+            self.potential -= self.cell_cap[cell]
+            stride = self.stride
+            for a in refs[dom.bit_length() - 1]:
+                n = key[a]
+                if n < stride:
                     self.uncovered -= 1
-                assured[a] += 1
+                key[a] = n + stride
         return ok
 
-    def _fix(self, cell: int, color: int) -> bool:
-        rest = self.dom[cell] & ~(1 << color)
-        while rest:
-            low = rest & -rest
-            if not self._remove(cell, low.bit_length() - 1):
-                return False
-            rest &= rest - 1
-        return True
-
     def _undo(self, mark: int) -> None:
-        """Restore removals down to the trail mark, reversing _remove's
-        counts from the domain each removal left behind."""
-        npos, assured = self.npos, self.assured
+        """Restore the removed color masks down to the trail mark,
+        reversing _remove's counts from the domain each removal left
+        behind."""
+        key, stride = self.key, self.stride
         while len(self.trail) > mark:
-            cell, color = self.trail.pop()
+            cell, gone = self.trail.pop()
             dom = self.dom[cell]
-            fixed = -1 if dom & (dom - 1) else dom.bit_length() - 1
-            if fixed >= 0:
+            refs = self.refs[cell]
+            if dom and not dom & (dom - 1):
                 self.potential += self.cell_cap[cell]
-            for a, req in self.cell_refs[cell]:
-                if req == color:
-                    npos[a] += 1
-                elif req == fixed:
-                    assured[a] -= 1
-                    if assured[a] == 0:
+                for a in refs[dom.bit_length() - 1]:
+                    n = key[a] = key[a] - stride
+                    if n < stride:
                         self.uncovered += 1
-            self.dom[cell] = dom | 1 << color
+            self.dom[cell] = dom | gone
+            while gone:
+                low = gone & -gone
+                gone ^= low
+                for a in refs[low.bit_length() - 1]:
+                    key[a] += 1
 
     def _propagate(self) -> bool:
         while self.units:
             a = self.units.popleft()
-            if self.assured[a] > 0:
-                continue
-            if self.npos[a] == 0:
+            n = self.key[a]
+            if n == 0:
                 return False
-            if self.npos[a] != 1:
+            if n != 1:
                 continue
             for cell, req in self.options[a]:
                 if self.dom[cell] & (1 << req):
-                    if not self._fix(cell, req):
+                    if not self._remove(cell, ~(1 << req)):
                         return False
                     break
         return True
@@ -214,13 +237,12 @@ class _Search:
             return "sat"
         if self.potential < self.uncovered:
             return "unsat"
-        best = None
-        for a in range(len(self.options)):
-            if self.assured[a] == 0:
-                if best is None or self.npos[a] < self.npos[best]:
-                    best = a
-                    if self.npos[a] <= 1:
-                        break
+        # Some key is below stride, and each such key is at least 1 (an
+        # uncovered assignment without live options was a conflict), so
+        # the minimum's first index is the first assignment with at most
+        # one live option, or else the lowest-index one with the fewest.
+        key = self.key
+        best = key.index(min(key))
         for cell, req in self.options[best]:
             if not self.dom[cell] & (1 << req):
                 continue
@@ -229,13 +251,13 @@ class _Search:
                 return "budget"
             mark = len(self.trail)
             self.units.clear()
-            if self._fix(cell, req) and self._propagate():
+            if self._remove(cell, ~(1 << req)) and self._propagate():
                 result = yield ()
                 if result in ("sat", "budget"):
                     return result
             self._undo(mark)
             self.units.clear()
-            if not (self._remove(cell, req) and self._propagate()):
+            if not (self._remove(cell, 1 << req) and self._propagate()):
                 return "unsat"
         return "unsat"
 

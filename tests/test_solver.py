@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from hats.core import (
     UNKNOWN,
     WINNING,
     complete_graph,
+    load_game,
     majorizes,
 )
 from hats.solver import (
@@ -193,35 +196,45 @@ class TestCliqueTheoremCheck:
 
 
 class _CheckedSearch(_Search):
-    """Recomputes every derived count from the domains after each undo."""
+    """Recomputes the per-color references from the option lists, and
+    every derived count and branch key from the domains, after each undo."""
 
     def _undo(self, mark):
         super()._undo(mark)
         self.check_counts()
 
     def check_counts(self):
+        refs = [[[] for _ in by_color] for by_color in self.refs]
+        for a, options in enumerate(self.options):
+            for cell, own in options:
+                refs[cell][own].append(a)
+        assert self.refs == refs
         npos = [0] * len(self.options)
         assured = [0] * len(self.options)
-        for cell, refs in enumerate(self.cell_refs):
+        for cell, by_color in enumerate(refs):
             dom = self.dom[cell]
-            for a, req in refs:
-                npos[a] += dom >> req & 1
-                assured[a] += dom == 1 << req
+            for req, assignments in enumerate(by_color):
+                for a in assignments:
+                    npos[a] += dom >> req & 1
+                    assured[a] += dom == 1 << req
         assert self.npos == npos
         assert self.assured == assured
         assert self.uncovered == assured.count(0)
         assert self.potential == sum(
             cap for dom, cap in zip(self.dom, self.cell_cap) if dom & (dom - 1))
+        assert self.stride > max(npos)
+        assert self.key == [n + self.stride * k for n, k in zip(npos, assured)]
 
 
 class TestSearchState:
-    @pytest.mark.parametrize("game", [
-        cycle(4, 3), star(3, 3), clique([3, 3, 3]), clique([2, 4, 4]), clique([3] * 7),
-        clique([1, 2, 2]),
+    @pytest.mark.parametrize("game, budget", [
+        (cycle(4, 3), 1000), (star(3, 3), 1000), (clique([3, 3, 3]), 1000),
+        (clique([2, 4, 4]), 1000), (clique([3] * 7), 1000), (clique([1, 2, 2]), 1000),
+        (clique([4] * 4), 2000), (cycle(5, 3), 2000),
     ], ids=["C4@3", "star(3,3)", "clique[3,3,3]", "clique[2,4,4]", "clique[3]*7",
-            "clique[1,2,2]"])
-    def test_counts_match_domains_after_every_undo(self, game):
-        search = _CheckedSearch(game, SearchBudget(1000))
+            "clique[1,2,2]", "clique[4]*4", "C5@3"])
+    def test_counts_match_domains_after_every_undo(self, game, budget):
+        search = _CheckedSearch(game, SearchBudget(budget))
         search.check_counts()
         search.run()
         search.check_counts()
@@ -235,3 +248,52 @@ class TestSearchState:
     def test_pinned_search_lengths(self, game, budget, status, nodes):
         result = solve_exact(game, SearchBudget(budget))
         assert (result.status, result.nodes) == (status, nodes)
+
+
+def _clique_doc(hats):
+    names = [f"v{i}" for i in range(len(hats))]
+    return json.dumps({
+        "vertices": [{"name": v, "hatness": h} for v, h in zip(names, hats)],
+        "edges": [[a, b] for i, a in enumerate(names) for b in names[i + 1:]],
+    })
+
+
+def _cycle_doc(n, hatness):
+    names = [f"v{i}" for i in range(n)]
+    return json.dumps({
+        "vertices": [{"name": v, "hatness": hatness} for v in names],
+        "edges": [[names[i], names[(i + 1) % n]] for i in range(n)],
+    })
+
+
+def _golden_games():
+    """(game document, budget): the benchmark's solve set (every clique
+    with n <= 3 and hatness <= 4, then its five larger games), every
+    clique with n <= 4 and hatness <= 4 at budget 3,000, and C3-C7 at 3
+    colors at budget 3,000."""
+    cliques = [hats for n in range(1, 5)
+               for hats in itertools.combinations_with_replacement(range(1, 5), n)]
+    games = [(_clique_doc(hats), 50_000) for hats in cliques if len(hats) <= 3]
+    games += [
+        (_cycle_doc(4, 3), 50_000),
+        (_clique_doc([3] * 5), 50_000),
+        (_clique_doc([4] * 4), 10_000),
+        (_cycle_doc(5, 3), 10_000),
+        (_clique_doc([3] * 7), 1_000),
+    ]
+    games += [(_clique_doc(hats), 3_000) for hats in cliques]
+    games += [(_cycle_doc(n, 3), 3_000) for n in range(3, 8)]
+    return games
+
+
+def test_results_are_byte_identical_to_the_recorded_search():
+    # Any change to the search's node order, pruning or table extraction
+    # moves this digest; a change to per-node cost must not.
+    games = _golden_games()
+    assert len(games) == 39 + 69 + 5
+    digest = hashlib.sha256()
+    for doc, budget in games:
+        result = solve_exact(load_game(doc)[0], SearchBudget(budget))
+        digest.update(json.dumps(result.to_json()).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "ad30413f391b05116fe72bca9b64fde921631c9ab070246f0df48fcd048ac338")
